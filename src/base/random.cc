@@ -2,12 +2,6 @@
 
 namespace bighouse {
 
-namespace detail {
-
-thread_local std::uint64_t tlsRngDraws = 0;
-
-} // namespace detail
-
 namespace {
 
 inline std::uint64_t
@@ -17,12 +11,6 @@ rotl(std::uint64_t x, int k)
 }
 
 } // namespace
-
-std::uint64_t
-threadRngDraws()
-{
-    return detail::tlsRngDraws;
-}
 
 Rng::Rng(std::uint64_t seed)
     : pendingGaussian(std::nan(""))

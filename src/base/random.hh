@@ -30,13 +30,6 @@
 
 namespace bighouse {
 
-namespace detail {
-
-/// Per-thread tally of *consumed* draws; see threadRngDraws() below.
-extern thread_local std::uint64_t tlsRngDraws;
-
-} // namespace detail
-
 /**
  * SplitMix64 stream: used only to expand seeds into generator state and to
  * derive child stream seeds. Not used for simulation draws directly.
@@ -79,9 +72,6 @@ class Rng
     std::uint64_t
     next()
     {
-        // The tally counts draws handed to callers, not blocks generated,
-        // so telemetry stays exact under batching.
-        ++detail::tlsRngDraws;
         if (blockPos == kBlock) [[unlikely]]
             refill();
         return block[blockPos++];
@@ -142,16 +132,6 @@ class Rng
     /// Pre-generated raw outputs, consumed in generation order.
     std::array<std::uint64_t, kBlock> block;
 };
-
-/**
- * Raw Rng draws made by the calling thread since it started (every
- * Rng::next() across every stream the thread touches). A plain
- * thread_local counter: one register increment per draw, no atomics, no
- * branches — cheap enough to stay on unconditionally, and exact for the
- * telemetry registry because each simulation instance runs on one
- * thread.
- */
-std::uint64_t threadRngDraws();
 
 } // namespace bighouse
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -53,20 +52,6 @@ readFile(const std::string& path, std::string* text)
     buf << in.rdbuf();
     *text = buf.str();
     return true;
-}
-
-SqsResult
-fromParallel(const ParallelResult& parallel)
-{
-    SqsResult result;
-    result.converged = parallel.converged;
-    result.termination = parallel.termination;
-    result.events = parallel.totalEvents;
-    result.simulatedTime = 0;  // per-slave clocks do not aggregate
-    result.wallSeconds = parallel.wallSeconds;
-    result.estimates = parallel.estimates;
-    result.failures = parallel.failures;
-    return result;
 }
 
 /** Union of axis paths across all points, sorted (stable columns). */
@@ -158,21 +143,9 @@ CampaignRunner::writeCacheEntry(const SweepPoint& point,
     obj.emplace("key", JsonValue(point.key));
     obj.emplace("keyHash", JsonValue(hashHex(point.keyHash)));
     obj.emplace("result", resultToJson(result));
-    const std::string path = resultPath(point);
-    // Atomic write-then-rename, like checkpoints and manifests: a kill
-    // mid-write can never leave a truncated entry a later resume would
-    // have to distrust.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            fatal("cannot open ", tmp, " for writing");
-        out << JsonValue(std::move(obj)).dump(2) << "\n";
-        if (!out)
-            fatal("write error on ", tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fatal("cannot rename ", tmp, " to ", path);
+    // Atomic, like checkpoints and manifests: a kill mid-write can never
+    // leave a truncated entry a later resume would have to distrust.
+    writeJsonFile(resultPath(point), JsonValue(std::move(obj)));
 }
 
 CampaignManifest
@@ -319,7 +292,7 @@ CampaignRunner::run()
                 parallel = runner.resume(readCheckpoint(pcfg.checkpointPath));
             else
                 parallel = runner.run(point.seed);
-            outcome.result = fromParallel(parallel);
+            outcome.result = parallel.toSqsResult();
             // Parallel estimates depend on thread timing, so only a
             // converged result is worth caching; an unconverged one
             // leaves its checkpoint behind for the next invocation.

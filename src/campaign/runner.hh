@@ -57,7 +57,7 @@ struct CampaignOptions
     std::size_t maxPoints = 0;
     /// Override the spec's campaign root seed (the CLI's --seed).
     std::optional<std::uint64_t> seed;
-    /// Live progress surface (the CLI's --status-file / TTY line):
+    /// Live progress surface (the CLI's report status.json / TTY line):
     /// called under the runner's ledger lock with the current report
     /// after scheduling (points marked Running) and after every point
     /// completes; `terminal` is true exactly once, for the final report.

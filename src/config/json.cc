@@ -515,4 +515,26 @@ parseJsonFile(const std::string& path)
     return std::move(result.value);
 }
 
+void
+writeFileAtomic(const std::string& path, std::string_view text)
+{
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::binary);
+        if (!out)
+            fatal("cannot open ", tmp, " for writing");
+        out.write(text.data(), static_cast<std::streamsize>(text.size()));
+        if (!out)
+            fatal("write error on ", tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        fatal("cannot rename ", tmp, " to ", path);
+}
+
+void
+writeJsonFile(const std::string& path, const JsonValue& value)
+{
+    writeFileAtomic(path, value.dump(2) + "\n");
+}
+
 } // namespace bighouse

@@ -93,6 +93,16 @@ JsonParseResult parseJson(std::string_view text);
 /** Parse a file; fatal() on I/O or syntax error (user error). */
 JsonValue parseJsonFile(const std::string& path);
 
+/**
+ * Write `text` to `path` atomically: staged to `path + ".tmp"`, then
+ * renamed over the target, so a reader (or a run killed mid-write)
+ * never sees a torn file. fatal() on I/O errors.
+ */
+void writeFileAtomic(const std::string& path, std::string_view text);
+
+/** Serialize `value` (2-space indent, trailing newline) atomically. */
+void writeJsonFile(const std::string& path, const JsonValue& value);
+
 } // namespace bighouse
 
 #endif // BIGHOUSE_CONFIG_JSON_HH

@@ -1,8 +1,5 @@
 #include "core/results_io.hh"
 
-#include <cstdio>
-#include <fstream>
-
 #include "base/logging.hh"
 #include "base/strings.hh"
 #include "obs/timeline.hh"
@@ -241,12 +238,7 @@ resultFromJson(const JsonValue& json)
 void
 writeResult(const std::string& path, const SqsResult& result)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open ", path, " for writing");
-    out << resultToJson(result).dump(2) << "\n";
-    if (!out)
-        fatal("write error on ", path);
+    writeJsonFile(path, resultToJson(result));
 }
 
 SqsResult
@@ -397,19 +389,9 @@ void
 writeCheckpoint(const std::string& path,
                 const ParallelCheckpoint& checkpoint)
 {
-    // Write-then-rename so a crash mid-write never corrupts the last
-    // good checkpoint.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            fatal("cannot open ", tmp, " for writing");
-        out << checkpointToJson(checkpoint).dump(2) << "\n";
-        if (!out)
-            fatal("write error on ", tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fatal("cannot rename ", tmp, " to ", path);
+    // Atomic, so a crash mid-write never corrupts the last good
+    // checkpoint.
+    writeJsonFile(path, checkpointToJson(checkpoint));
 }
 
 ParallelCheckpoint
@@ -583,19 +565,9 @@ manifestFromJson(const JsonValue& json)
 void
 writeManifest(const std::string& path, const CampaignManifest& manifest)
 {
-    // Same atomic write-then-rename discipline as checkpoints: a kill
-    // mid-write never corrupts the last good ledger.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            fatal("cannot open ", tmp, " for writing");
-        out << manifestToJson(manifest).dump(2) << "\n";
-        if (!out)
-            fatal("write error on ", tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fatal("cannot rename ", tmp, " to ", path);
+    // Atomic like checkpoints: a kill mid-write never corrupts the last
+    // good ledger.
+    writeJsonFile(path, manifestToJson(manifest));
 }
 
 CampaignManifest

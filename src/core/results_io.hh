@@ -31,7 +31,7 @@ JsonValue resultToJson(const SqsResult& result);
 /** Inverse of resultToJson(); fatal() on schema violations. */
 SqsResult resultFromJson(const JsonValue& json);
 
-/** Write a result to a .json file (pretty-printed). */
+/** Write a result atomically to a .json file (pretty-printed). */
 void writeResult(const std::string& path, const SqsResult& result);
 
 /** Read a result written by writeResult(). */

@@ -4,22 +4,41 @@
 #include <map>
 
 #include "core/sqs.hh"
-#include "obs/status.hh"
 #include "stats/collection.hh"
 
 namespace bighouse {
+
+const MetricEstimate*
+bottleneckMetric(const std::vector<MetricEstimate>& estimates)
+{
+    const MetricEstimate* worst = nullptr;
+    std::uint64_t worstDeficit = 0;
+    for (const MetricEstimate& estimate : estimates) {
+        if (estimate.converged)
+            continue;
+        // required can trail accepted transiently (the estimate of the
+        // requirement sharpens as the sample grows); clamp to zero and
+        // still surface the metric — unconverged with no deficit means
+        // the convergence poll simply has not caught up.
+        const std::uint64_t deficit =
+            estimate.required > estimate.accepted
+                ? estimate.required - estimate.accepted
+                : 0;
+        if (worst == nullptr || deficit > worstDeficit) {
+            worst = &estimate;
+            worstDeficit = deficit;
+        }
+    }
+    return worst;
+}
 
 void
 ConvergenceRecorder::observe(const StatsCollection& stats,
                              std::uint64_t events)
 {
-    if (!samples.empty()) {
-        const std::uint64_t last = samples.back().first;
-        if (events == last)
-            return;  // duplicate boundary (e.g. drained batch)
-        if (cadence > 0 && events < last + cadence)
-            return;
-    }
+    // A drained batch repeats the last boundary; record it once.
+    if (!samples.empty() && samples.back().first == events)
+        return;
     samples.emplace_back(events, stats.estimates());
 }
 
@@ -37,25 +56,8 @@ ConvergenceRecorder::bottleneck() const
 {
     if (samples.empty())
         return "";
-    std::string worst;
-    std::uint64_t worstDeficit = 0;
-    for (const MetricEstimate& estimate : samples.back().second) {
-        if (estimate.converged)
-            continue;
-        // required can trail accepted transiently (the estimate of the
-        // requirement sharpens as the sample grows); clamp to zero and
-        // still surface the metric — unconverged with no deficit means
-        // the convergence poll simply has not caught up.
-        const std::uint64_t deficit =
-            estimate.required > estimate.accepted
-                ? estimate.required - estimate.accepted
-                : 0;
-        if (worst.empty() || deficit > worstDeficit) {
-            worst = estimate.name;
-            worstDeficit = deficit;
-        }
-    }
-    return worst;
+    const MetricEstimate* worst = bottleneckMetric(samples.back().second);
+    return worst != nullptr ? worst->name : "";
 }
 
 JsonValue
@@ -96,8 +98,6 @@ ConvergenceRecorder::toJson() const
     JsonValue::Object root;
     root.emplace("format",
                  JsonValue(std::string("bighouse-convergence-v1")));
-    root.emplace("cadenceEvents",
-                 JsonValue(static_cast<double>(cadence)));
     root.emplace("sampleCount",
                  JsonValue(static_cast<double>(samples.size())));
     root.emplace("bottleneck", JsonValue(bottleneck()));
@@ -108,7 +108,7 @@ ConvergenceRecorder::toJson() const
 void
 ConvergenceRecorder::write(const std::string& path) const
 {
-    writeFileAtomic(path, toJson().dump(2) + "\n");
+    writeJsonFile(path, toJson());
 }
 
 } // namespace bighouse

@@ -8,7 +8,7 @@
  * *why* (wide interval? large lag spacing discarding observations? a
  * quantile's Nq dominating the mean's Nm?). The recorder samples each
  * metric's mean, CI half-width, lag state, and accepted/required counts
- * every `cadenceEvents` simulated events and renders an ordered
+ * at every batch boundary and renders an ordered
  * `bighouse-convergence-v1` JSON document whose byte stream is stable
  * across reruns of the same seed — diffable convergence history.
  *
@@ -32,20 +32,19 @@ namespace bighouse {
 class StatsCollection;
 class SqsSimulation;
 
+/**
+ * The metric holding up termination: among the unconverged estimates,
+ * the one with the largest (required - accepted) deficit. nullptr when
+ * every metric converged.
+ */
+const MetricEstimate* bottleneckMetric(
+    const std::vector<MetricEstimate>& estimates);
+
 /** Records per-metric convergence state over a run. */
 class ConvergenceRecorder
 {
   public:
-    /**
-     * @param cadenceEvents minimum simulated events between samples;
-     *        0 records at every observation (every batch boundary).
-     */
-    explicit ConvergenceRecorder(std::uint64_t cadenceEvents = 0)
-        : cadence(cadenceEvents)
-    {
-    }
-
-    /** Consider taking a sample at `events` executed events. */
+    /** Take a sample at `events` executed events. */
     void observe(const StatsCollection& stats, std::uint64_t events);
 
     /**
@@ -57,24 +56,22 @@ class ConvergenceRecorder
     std::size_t sampleCount() const { return samples.size(); }
 
     /**
-     * The metric holding up termination at the last sample: the largest
-     * (required - accepted) deficit. Empty when every metric was
-     * converged (or nothing was sampled).
+     * bottleneckMetric() at the last sample, by name. Empty when every
+     * metric was converged (or nothing was sampled).
      */
     std::string bottleneck() const;
 
     /**
      * Ordered `bighouse-convergence-v1` document: per-metric sample
-     * series (metrics name-sorted, samples in time order), the final
-     * bottleneck, and the sampling cadence.
+     * series (metrics name-sorted, samples in time order) and the final
+     * bottleneck.
      */
     JsonValue toJson() const;
 
-    /** toJson() to `path` via atomic write-then-rename. */
+    /** toJson() to `path`, written atomically. */
     void write(const std::string& path) const;
 
   private:
-    std::uint64_t cadence;
     /// (events, per-metric estimates) in sample order.
     std::vector<std::pair<std::uint64_t, std::vector<MetricEstimate>>>
         samples;

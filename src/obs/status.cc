@@ -1,34 +1,27 @@
 #include "obs/status.hh"
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 
 #include "base/logging.hh"
+#include "obs/convergence.hh"
 
 namespace bighouse {
 
-void
-writeFileAtomic(const std::string& path, std::string_view text)
+std::string
+prepareReportDir(const std::string& dir,
+                 std::initializer_list<const char*> files)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        if (!out)
-            fatal("cannot open ", tmp, " for writing");
-        out.write(text.data(),
-                  static_cast<std::streamsize>(text.size()));
-        if (!out)
-            fatal("write error on ", tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fatal("cannot rename ", tmp, " to ", path);
-}
-
-void
-writeStatusFile(const std::string& path, const JsonValue& status)
-{
-    writeFileAtomic(path, status.dump(2) + "\n");
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (!std::filesystem::is_directory(dir))
+        fatal("cannot create report directory ", dir,
+              ec ? ": " + ec.message() : std::string());
+    const std::string prefix = dir + "/";
+    for (const char* file : files)
+        std::filesystem::remove(prefix + file, ec);
+    return prefix;
 }
 
 namespace {
@@ -153,24 +146,10 @@ std::string
 serialProgressLine(const std::vector<MetricEstimate>& estimates,
                    std::uint64_t events)
 {
-    std::size_t converged = 0;
-    const MetricEstimate* worst = nullptr;
-    for (const MetricEstimate& estimate : estimates) {
-        if (estimate.converged) {
-            ++converged;
-            continue;
-        }
-        const std::uint64_t deficit =
-            estimate.required > estimate.accepted
-                ? estimate.required - estimate.accepted
-                : 0;
-        const std::uint64_t worstDeficit =
-            worst != nullptr && worst->required > worst->accepted
-                ? worst->required - worst->accepted
-                : 0;
-        if (worst == nullptr || deficit > worstDeficit)
-            worst = &estimate;
-    }
+    const auto converged =
+        std::count_if(estimates.begin(), estimates.end(),
+                      [](const MetricEstimate& e) { return e.converged; });
+    const MetricEstimate* worst = bottleneckMetric(estimates);
     std::ostringstream line;
     line << "events " << events << " | " << converged << "/"
          << estimates.size() << " metrics converged";

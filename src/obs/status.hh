@@ -1,12 +1,12 @@
 /**
  * @file
- * Live status surfaces: machine-readable `--status-file` documents and
- * one-line TTY progress rendering for the CLIs.
+ * Live status surfaces: the machine-readable status.json of a report
+ * directory and one-line TTY progress rendering for the CLIs.
  *
  * A status file is a single `bighouse-status-v1` JSON document rewritten
- * atomically (write-then-rename, like checkpoints and manifests) on
- * every progress tick — a watcher process always reads a complete,
- * parseable document, never a torn write. The `kind` field selects the
+ * atomically (writeJsonFile, like checkpoints and manifests) on every
+ * progress tick — a watcher process always reads a complete, parseable
+ * document, never a torn write. The `kind` field selects the
  * payload shape: "serial" (one simulation's metric state), "parallel"
  * (per-slave supervision state), or "campaign" (per-point lifecycle).
  * The terminal rewrite sets `"terminal": true`, so `jq .terminal` is the
@@ -17,8 +17,8 @@
 #define BIGHOUSE_OBS_STATUS_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "campaign/runner.hh"
@@ -29,13 +29,14 @@
 namespace bighouse {
 
 /**
- * Write `text` to `path` atomically: staged to `path + ".tmp"`, then
- * renamed over the target. fatal() on I/O errors.
+ * Create the report directory `dir` (and its parents) if missing and
+ * delete the named files an earlier run may have left there, so the
+ * directory only ever describes the current run — a watcher never reads
+ * a stale terminal status.json. Returns `dir` with a trailing '/'.
+ * fatal() when `dir` cannot be created.
  */
-void writeFileAtomic(const std::string& path, std::string_view text);
-
-/** Serialize (2-space indent, trailing newline) and write atomically. */
-void writeStatusFile(const std::string& path, const JsonValue& status);
+std::string prepareReportDir(const std::string& dir,
+                             std::initializer_list<const char*> files);
 
 /**
  * Status document for a serial run in flight (or finished).
@@ -63,7 +64,10 @@ JsonValue parallelStatusJson(const ParallelProgressSnapshot& snapshot,
 JsonValue campaignStatusJson(const std::vector<SweepPoint>& points,
                              const CampaignReport& report, bool terminal);
 
-/** One-line TTY progress: worst metric's accepted/required and events. */
+/**
+ * One-line TTY progress: events, converged-metric count, and the
+ * bottleneckMetric()'s accepted/required.
+ */
 std::string serialProgressLine(
     const std::vector<MetricEstimate>& estimates, std::uint64_t events);
 

@@ -5,8 +5,6 @@
 
 #include "base/build_info.hh"
 #include "base/logging.hh"
-#include "base/random.hh"
-#include "obs/status.hh"
 #include "queueing/failure.hh"
 #include "sim/engine.hh"
 #include "stats/collection.hh"
@@ -21,8 +19,6 @@ telemetryCounterName(TelemetryCounter counter)
         return "engine.eventsExecuted";
       case TelemetryCounter::EventsPushed:
         return "engine.eventsPushed";
-      case TelemetryCounter::AllocationsAvoided:
-        return "engine.allocationsAvoided";
       case TelemetryCounter::QueueLiveSlots:
         return "queue.liveSlots";
       case TelemetryCounter::QueueDeadSlots:
@@ -31,24 +27,12 @@ telemetryCounterName(TelemetryCounter counter)
         return "queue.heapSlots";
       case TelemetryCounter::QueueCompactions:
         return "queue.compactions";
-      case TelemetryCounter::RngDraws:
-        return "rng.draws";
       case TelemetryCounter::SamplesOffered:
         return "stats.samplesOffered";
       case TelemetryCounter::SamplesAccepted:
         return "stats.samplesAccepted";
       case TelemetryCounter::BatchesObserved:
         return "sqs.batchesObserved";
-      case TelemetryCounter::CalibrationEvents:
-        return "sqs.calibrationEvents";
-      case TelemetryCounter::PointsCached:
-        return "campaign.pointsCached";
-      case TelemetryCounter::PointsRan:
-        return "campaign.pointsRan";
-      case TelemetryCounter::PointsFailed:
-        return "campaign.pointsFailed";
-      case TelemetryCounter::PointsPending:
-        return "campaign.pointsPending";
       case TelemetryCounter::FailuresInjected:
         return "failures.injected";
       case TelemetryCounter::RepairsCompleted:
@@ -71,35 +55,6 @@ telemetryCounterName(TelemetryCounter counter)
         break;
     }
     return "unknown";
-}
-
-const char*
-telemetryGaugeName(TelemetryGauge gauge)
-{
-    switch (gauge) {
-      case TelemetryGauge::CalibrationSeconds:
-        return "phase.calibrationSeconds";
-      case TelemetryGauge::MeasurementSeconds:
-        return "phase.measurementSeconds";
-      case TelemetryGauge::RunSeconds:
-        return "phase.runSeconds";
-      case TelemetryGauge::kCount:
-        break;
-    }
-    return "unknown";
-}
-
-void
-TelemetrySlab::addGauge(TelemetryGauge gauge, double seconds)
-{
-    // CAS accumulation: std::atomic<double>::fetch_add is C++20 but not
-    // uniformly lock-free; gauges are updated a handful of times per
-    // run, so the loop costs nothing.
-    std::atomic<double>& cell = gaugeCell(gauge);
-    double expected = cell.load(std::memory_order_relaxed);
-    while (!cell.compare_exchange_weak(expected, expected + seconds,
-                                       std::memory_order_relaxed)) {
-    }
 }
 
 TelemetrySlab&
@@ -126,17 +81,9 @@ slabToJson(const TelemetrySlab& slab)
             telemetryCounterName(counter),
             JsonValue(static_cast<double>(slab.value(counter))));
     }
-    JsonValue::Object gauges;
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(TelemetryGauge::kCount); ++i) {
-        const auto gauge = static_cast<TelemetryGauge>(i);
-        gauges.emplace(telemetryGaugeName(gauge),
-                       JsonValue(slab.gauge(gauge)));
-    }
     JsonValue::Object obj;
     obj.emplace("label", JsonValue(slab.label()));
     obj.emplace("counters", JsonValue(std::move(counters)));
-    obj.emplace("gauges", JsonValue(std::move(gauges)));
     return JsonValue(std::move(obj));
 }
 
@@ -190,7 +137,7 @@ TelemetryRegistry::snapshot() const
 void
 TelemetryRegistry::write(const std::string& path) const
 {
-    writeFileAtomic(path, snapshot().dump(2) + "\n");
+    writeJsonFile(path, snapshot());
 }
 
 void
@@ -199,9 +146,6 @@ sampleEngineTelemetry(TelemetrySlab& slab, const Engine& engine)
     const EventQueue& queue = engine.eventQueue();
     slab.set(TelemetryCounter::EventsExecuted, engine.eventsExecuted());
     slab.set(TelemetryCounter::EventsPushed, queue.pushCount());
-    // Every push would be one std::function heap allocation in a naive
-    // queue; InlineCallback + slot reuse make it zero.
-    slab.set(TelemetryCounter::AllocationsAvoided, queue.pushCount());
     slab.set(TelemetryCounter::QueueLiveSlots, queue.size());
     slab.set(TelemetryCounter::QueueDeadSlots, queue.deadEntries());
     slab.set(TelemetryCounter::QueueHeapSlots, queue.heapSize());
@@ -219,12 +163,6 @@ sampleStatsTelemetry(TelemetrySlab& slab, const StatsCollection& stats)
     }
     slab.set(TelemetryCounter::SamplesOffered, offered);
     slab.set(TelemetryCounter::SamplesAccepted, accepted);
-}
-
-void
-sampleRngTelemetry(TelemetrySlab& slab)
-{
-    slab.set(TelemetryCounter::RngDraws, threadRngDraws());
 }
 
 void

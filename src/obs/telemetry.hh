@@ -1,28 +1,26 @@
 /**
  * @file
- * Telemetry registry — the counter/gauge surface of the observability
- * layer (src/obs).
+ * Telemetry registry — the counter surface of the observability layer
+ * (src/obs).
  *
  * Simulator internals that previously were visible only through ad-hoc
- * accessors (events executed, queue live/dead slots, compactions, RNG
- * draws, allocations avoided, per-phase wall time) are aggregated into
- * named slabs — one per simulation instance ("master", "slave-3",
- * "campaign") — and snapshotted into a stable, ordered JSON document
+ * accessors (events executed and pushed, queue live/dead slots,
+ * compactions, samples offered/accepted, failure counters) are
+ * aggregated into named slabs — one per simulation instance ("serial",
+ * "slave-3") — and snapshotted into a stable, ordered JSON document
  * (`bighouse-telemetry-v1`).
  *
  * Design constraints, in order:
  *  1. Zero hot-path cost when unused. Nothing in src/sim or src/stats
  *     pushes into the registry; slabs are *pulled* from engine/stats
  *     state at batch boundaries (every SqsConfig::batchEvents events) by
- *     the sampling helpers below. The only unconditional instrumentation
- *     anywhere is a thread_local increment in Rng::next() and a counter
- *     bump in the cold EventQueue::compact().
+ *     the sampling helpers below.
  *  2. Thread safety without contention. Slab cells are relaxed atomics;
  *     each simulation thread samples into its own slab, so the atomics
  *     only matter for the final cross-thread snapshot.
  *  3. Deterministic output. snapshot() orders slabs by label and cells
  *     by enum order; JsonValue keeps object keys sorted — two identical
- *     runs serialize byte-identical telemetry (modulo wall-time gauges).
+ *     runs serialize byte-identical telemetry.
  */
 
 #ifndef BIGHOUSE_OBS_TELEMETRY_HH
@@ -30,7 +28,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -50,20 +47,13 @@ enum class TelemetryCounter
 {
     EventsExecuted,     ///< engine.eventsExecuted
     EventsPushed,       ///< engine.eventsPushed (queue pushCount)
-    AllocationsAvoided, ///< engine.allocationsAvoided (see sampler note)
     QueueLiveSlots,     ///< queue.liveSlots (at last sample)
     QueueDeadSlots,     ///< queue.deadSlots (at last sample)
     QueueHeapSlots,     ///< queue.heapSlots (at last sample)
     QueueCompactions,   ///< queue.compactions
-    RngDraws,           ///< rng.draws (thread_local tally; see sampler)
     SamplesOffered,     ///< stats.samplesOffered (sum over metrics)
     SamplesAccepted,    ///< stats.samplesAccepted (sum over metrics)
     BatchesObserved,    ///< sqs.batchesObserved
-    CalibrationEvents,  ///< sqs.calibrationEvents
-    PointsCached,       ///< campaign.pointsCached
-    PointsRan,          ///< campaign.pointsRan
-    PointsFailed,       ///< campaign.pointsFailed
-    PointsPending,      ///< campaign.pointsPending
     FailuresInjected,   ///< failures.injected (server Up -> Down edges)
     RepairsCompleted,   ///< failures.repaired (server Down -> Up edges)
     TasksDropped,       ///< failures.tasksDropped (lost to Drop crashes)
@@ -76,20 +66,8 @@ enum class TelemetryCounter
     kCount,
 };
 
-/** Wall-clock gauges (seconds) a slab carries. */
-enum class TelemetryGauge
-{
-    CalibrationSeconds,  ///< phase.calibrationSeconds
-    MeasurementSeconds,  ///< phase.measurementSeconds
-    RunSeconds,          ///< phase.runSeconds
-    kCount,
-};
-
 /** Stable dotted name of a counter ("engine.eventsExecuted", ...). */
 const char* telemetryCounterName(TelemetryCounter counter);
-
-/** Stable dotted name of a gauge ("phase.runSeconds", ...). */
-const char* telemetryGaugeName(TelemetryGauge gauge);
 
 /**
  * One named bundle of telemetry cells. Writers use relaxed atomics: a
@@ -125,21 +103,6 @@ class TelemetrySlab
         return cell(counter).load(std::memory_order_relaxed);
     }
 
-    void
-    setGauge(TelemetryGauge gauge, double seconds)
-    {
-        gaugeCell(gauge).store(seconds, std::memory_order_relaxed);
-    }
-
-    /** Accumulate into a gauge (CAS loop; gauges are cold). */
-    void addGauge(TelemetryGauge gauge, double seconds);
-
-    double
-    gauge(TelemetryGauge g) const
-    {
-        return gaugeCell(g).load(std::memory_order_relaxed);
-    }
-
   private:
     std::atomic<std::uint64_t>&
     cell(TelemetryCounter counter)
@@ -151,24 +114,11 @@ class TelemetrySlab
     {
         return counters[static_cast<std::size_t>(counter)];
     }
-    std::atomic<double>&
-    gaugeCell(TelemetryGauge gauge)
-    {
-        return gauges[static_cast<std::size_t>(gauge)];
-    }
-    const std::atomic<double>&
-    gaugeCell(TelemetryGauge gauge) const
-    {
-        return gauges[static_cast<std::size_t>(gauge)];
-    }
 
     std::string name;
     std::array<std::atomic<std::uint64_t>,
                static_cast<std::size_t>(TelemetryCounter::kCount)>
         counters{};
-    std::array<std::atomic<double>,
-               static_cast<std::size_t>(TelemetryGauge::kCount)>
-        gauges{};
 };
 
 /** Registry of slabs for one run (CLI invocation, test, bench). */
@@ -197,10 +147,7 @@ class TelemetryRegistry
 
 /**
  * Pull engine/queue state into a slab. Sets absolute values, so calling
- * it every batch is idempotent-per-instant. AllocationsAvoided counts
- * scheduled events: the allocation-free queue (InlineCallback + slot
- * reuse) makes zero per-event allocations where a std::function-based
- * queue would make one per push.
+ * it every batch is idempotent-per-instant.
  */
 void sampleEngineTelemetry(TelemetrySlab& slab, const Engine& engine);
 
@@ -216,40 +163,6 @@ void sampleStatsTelemetry(TelemetrySlab& slab,
  */
 void sampleFailureTelemetry(TelemetrySlab& slab,
                             const FailureTotals& totals);
-
-/**
- * Record the calling thread's cumulative Rng draw tally into the slab.
- * Exact when the slab's simulation ran wholly on the calling thread
- * (serial runs, parallel slaves via ParallelConfig::onSlaveDone).
- */
-void sampleRngTelemetry(TelemetrySlab& slab);
-
-/** Scope guard accumulating its lifetime into a wall-time gauge. */
-class ScopedPhaseTimer
-{
-  public:
-    ScopedPhaseTimer(TelemetrySlab& slab, TelemetryGauge gauge)
-        : target(slab), phase(gauge),
-          start(std::chrono::steady_clock::now())
-    {
-    }
-
-    ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-    ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
-    ~ScopedPhaseTimer()
-    {
-        target.addGauge(
-            phase, std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count());
-    }
-
-  private:
-    TelemetrySlab& target;
-    TelemetryGauge phase;
-    std::chrono::steady_clock::time_point start;
-};
 
 } // namespace bighouse
 

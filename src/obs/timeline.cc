@@ -1,7 +1,6 @@
 #include "obs/timeline.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
 #include "base/build_info.hh"
@@ -268,7 +267,7 @@ timelineDataFromJson(const JsonValue& json)
 }
 
 // ---------------------------------------------------------------------
-// bighouse-timeline-v1 export (JSONL / CSV)
+// bighouse-timeline-v1 export (JSONL)
 // ---------------------------------------------------------------------
 
 namespace {
@@ -306,61 +305,12 @@ anyTruncated(const std::vector<TimelineData>& sources)
     return false;
 }
 
-/** One flattened export record (a window of one track of one source). */
-struct TimelineRecord
-{
-    const TimelineData* source = nullptr;
-    const TimelineTrackData* track = nullptr;
-    std::uint64_t window = 0;
-    bool isCounter = false;
-    std::uint64_t count = 0;        ///< counter events or stat count
-    TimeWeightedStat stat;          ///< gauge/samples kinds only
-};
-
-/** Expand in stable order: source position, track name, window index. */
-template <typename Fn>
-void
-forEachRecord(const std::vector<TimelineData>& sources, Fn&& fn)
-{
-    for (const TimelineData& data : sources) {
-        for (const TimelineTrackData& track : data.tracks) {
-            if (track.kind == "counter") {
-                for (std::uint64_t w = 0; w < track.counts.size(); ++w) {
-                    TimelineRecord record;
-                    record.source = &data;
-                    record.track = &track;
-                    record.window = w;
-                    record.isCounter = true;
-                    record.count = track.counts[w];
-                    fn(record);
-                }
-            } else {
-                for (std::uint64_t w = 0; w < track.windows.size(); ++w) {
-                    TimelineRecord record;
-                    record.source = &data;
-                    record.track = &track;
-                    record.window = w;
-                    record.stat =
-                        TimeWeightedStat::deserialize(track.windows[w]);
-                    if (record.stat.empty())
-                        continue;  // an idle sample window carries nothing
-                    record.count = record.stat.count();
-                    fn(record);
-                }
-            }
-        }
-    }
-}
-
 } // namespace
 
 void
 writeTimelineJsonl(const std::string& path,
                    const std::vector<TimelineData>& sources)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open ", path, " for writing");
     JsonValue::Object header;
     header.emplace("build", buildProvenance());
     header.emplace("format", JsonValue("bighouse-timeline-v1"));
@@ -370,75 +320,47 @@ writeTimelineJsonl(const std::string& path,
     header.emplace("window",
                    JsonValue(sources.empty() ? 0.0 : sources[0].window));
     header.emplace("truncated", JsonValue(anyTruncated(sources)));
-    out << JsonValue(std::move(header)).dump() << "\n";
-    forEachRecord(sources, [&](const TimelineRecord& record) {
-        const double width = record.source->window;
-        JsonValue::Object obj;
-        obj.emplace("count",
-                    JsonValue(static_cast<double>(record.count)));
-        obj.emplace("end",
-                    JsonValue(width
-                              * static_cast<double>(record.window + 1)));
-        obj.emplace("kind", JsonValue(record.track->kind));
-        if (!record.isCounter) {
-            obj.emplace("max", JsonValue(record.stat.max()));
-            obj.emplace("mean", JsonValue(record.stat.mean()));
-            obj.emplace("min", JsonValue(record.stat.min()));
-            obj.emplace("p50", JsonValue(record.stat.quantile(0.50)));
-            obj.emplace("p95", JsonValue(record.stat.quantile(0.95)));
-            obj.emplace("p99", JsonValue(record.stat.quantile(0.99)));
-            obj.emplace("weight", JsonValue(record.stat.totalWeight()));
+    std::string out = JsonValue(std::move(header)).dump() + "\n";
+    // Stable order: source position, track name, window index.
+    for (const TimelineData& data : sources) {
+        for (const TimelineTrackData& track : data.tracks) {
+            const bool isCounter = track.kind == "counter";
+            const std::size_t windows =
+                isCounter ? track.counts.size() : track.windows.size();
+            for (std::size_t w = 0; w < windows; ++w) {
+                JsonValue::Object obj;
+                if (isCounter) {
+                    obj.emplace("count", JsonValue(static_cast<double>(
+                                             track.counts[w])));
+                } else {
+                    const TimeWeightedStat stat =
+                        TimeWeightedStat::deserialize(track.windows[w]);
+                    if (stat.empty())
+                        continue;  // an idle sample window carries nothing
+                    obj.emplace("count",
+                                JsonValue(static_cast<double>(stat.count())));
+                    obj.emplace("max", JsonValue(stat.max()));
+                    obj.emplace("mean", JsonValue(stat.mean()));
+                    obj.emplace("min", JsonValue(stat.min()));
+                    obj.emplace("p50", JsonValue(stat.quantile(0.50)));
+                    obj.emplace("p95", JsonValue(stat.quantile(0.95)));
+                    obj.emplace("p99", JsonValue(stat.quantile(0.99)));
+                    obj.emplace("weight", JsonValue(stat.totalWeight()));
+                }
+                obj.emplace("end", JsonValue(data.window
+                                             * static_cast<double>(w + 1)));
+                obj.emplace("kind", JsonValue(track.kind));
+                obj.emplace("source", JsonValue(data.source));
+                obj.emplace("start",
+                            JsonValue(data.window * static_cast<double>(w)));
+                obj.emplace("track", JsonValue(track.name));
+                obj.emplace("window", JsonValue(static_cast<double>(w)));
+                out += JsonValue(std::move(obj)).dump();
+                out += '\n';
+            }
         }
-        obj.emplace("source", JsonValue(record.source->source));
-        obj.emplace("start",
-                    JsonValue(width * static_cast<double>(record.window)));
-        obj.emplace("track", JsonValue(record.track->name));
-        obj.emplace("window",
-                    JsonValue(static_cast<double>(record.window)));
-        out << JsonValue(std::move(obj)).dump() << "\n";
-    });
-    if (!out)
-        fatal("failed writing timeline to ", path);
-}
-
-void
-writeTimelineCsv(const std::string& path,
-                 const std::vector<TimelineData>& sources)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open ", path, " for writing");
-    out.precision(12);
-    const BuildInfo& build = buildInfo();
-    out << "# bighouse-timeline-v1\n";
-    out << "# build: " << build.gitDescribe << ", " << build.compiler
-        << ", " << build.buildType << ", sanitizer " << build.sanitizer
-        << "\n";
-    const std::string note = collectNote(sources);
-    if (!note.empty())
-        out << "# note: " << note << "\n";
-    out << "source,track,kind,window,start,end,count,weight,mean,min,max,"
-           "p50,p95,p99\n";
-    forEachRecord(sources, [&](const TimelineRecord& record) {
-        const double width = record.source->window;
-        out << record.source->source << "," << record.track->name << ","
-            << record.track->kind << "," << record.window << ","
-            << width * static_cast<double>(record.window) << ","
-            << width * static_cast<double>(record.window + 1) << ","
-            << record.count;
-        if (record.isCounter) {
-            out << ",,,,,,,";
-        } else {
-            out << "," << record.stat.totalWeight() << ","
-                << record.stat.mean() << "," << record.stat.min() << ","
-                << record.stat.max() << "," << record.stat.quantile(0.5)
-                << "," << record.stat.quantile(0.95) << ","
-                << record.stat.quantile(0.99);
-        }
-        out << "\n";
-    });
-    if (!out)
-        fatal("failed writing timeline to ", path);
+    }
+    writeFileAtomic(path, out);
 }
 
 } // namespace bighouse

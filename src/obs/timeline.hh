@@ -2,12 +2,12 @@
  * @file
  * Timeline — simulated-time observability for transient behavior.
  *
- * PR 5's observability layer watches the *host process* (wall-time
- * telemetry, Chrome traces); this layer watches the *simulated system*:
- * queue depths, busy cores, servers up, retry occupancy, dispatch and
- * ejection waves — the signals that make failure storms and metastable
- * goodput collapse visible as time series instead of a single steady-
- * state number.
+ * The rest of the observability layer watches the *host process*
+ * (telemetry counters, Chrome traces); this layer watches the *simulated
+ * system*: queue depths, busy cores, servers up, retry occupancy,
+ * dispatch and ejection waves — the signals that make failure storms
+ * and metastable goodput collapse visible as time series instead of a
+ * single steady-state number.
  *
  * Design constraints, in order:
  *
@@ -93,14 +93,12 @@ JsonValue timelineDataToJson(const TimelineData& data);
 TimelineData timelineDataFromJson(const JsonValue& json);
 
 /**
- * Write `bighouse-timeline-v1` output: a build-provenance header, then
- * one record per (source, track, window), ordered by source position,
- * track name, window index — reruns diff cleanly.
+ * Write `bighouse-timeline-v1` JSONL atomically: a build-provenance
+ * header, then one record per (source, track, window), ordered by
+ * source position, track name, window index — reruns diff cleanly.
  */
 void writeTimelineJsonl(const std::string& path,
                         const std::vector<TimelineData>& sources);
-void writeTimelineCsv(const std::string& path,
-                      const std::vector<TimelineData>& sources);
 
 /** A piecewise-constant signal split across aligned windows. */
 class TimelineGauge

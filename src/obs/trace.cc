@@ -1,21 +1,9 @@
 #include "obs/trace.hh"
 
 #include "base/logging.hh"
-#include "obs/status.hh"
 #include "sim/engine.hh"
 
 namespace bighouse {
-
-TraceFormat
-traceFormatFromName(std::string_view name)
-{
-    if (name == "chrome")
-        return TraceFormat::Chrome;
-    if (name == "jsonl")
-        return TraceFormat::Jsonl;
-    fatal("unknown trace format '", std::string(name),
-          "' (expected chrome or jsonl)");
-}
 
 TraceBuffer::TraceBuffer(std::string label, std::size_t capacity)
     : name(std::move(label))
@@ -119,32 +107,10 @@ TraceSet::chromeTraceJson() const
     return JsonValue(std::move(root));
 }
 
-std::string
-TraceSet::jsonl() const
-{
-    std::lock_guard<std::mutex> lock(mtx);
-    std::string out;
-    for (const TraceBuffer& track : buffers) {
-        for (const TraceRecord& record : track.records()) {
-            JsonValue::Object line;
-            line.emplace("track", JsonValue(track.label()));
-            line.emplace("time", JsonValue(record.time));
-            line.emplace("seq",
-                         JsonValue(static_cast<double>(record.seq)));
-            out += JsonValue(std::move(line)).dump(0);
-            out += '\n';
-        }
-    }
-    return out;
-}
-
 void
-TraceSet::write(const std::string& path, TraceFormat format) const
+TraceSet::write(const std::string& path) const
 {
-    if (format == TraceFormat::Chrome)
-        writeFileAtomic(path, chromeTraceJson().dump(2) + "\n");
-    else
-        writeFileAtomic(path, jsonl());
+    writeJsonFile(path, chromeTraceJson());
 }
 
 } // namespace bighouse

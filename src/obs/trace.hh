@@ -10,11 +10,10 @@
  * long the run is.
  *
  * A TraceSet groups one buffer per simulation instance ("master",
- * "slave-0", ...) and renders two formats:
- *  - Chrome trace-event JSON ("X" complete events, one tid per track,
- *    "M" thread_name metadata) — loads directly in Perfetto / Chrome's
- *    about:tracing, one named track per slave;
- *  - compact JSONL, one record per line, for ad-hoc scripting.
+ * "slave-0", ...) and renders them as Chrome trace-event JSON ("X"
+ * complete events, one tid per track, "M" thread_name metadata), which
+ * loads directly in Perfetto / Chrome's about:tracing with one named
+ * track per slave.
  */
 
 #ifndef BIGHOUSE_OBS_TRACE_HH
@@ -24,7 +23,6 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/time.hh"
@@ -33,16 +31,6 @@
 namespace bighouse {
 
 class Engine;
-
-/** Trace output formats. */
-enum class TraceFormat
-{
-    Chrome,  ///< trace-event JSON (Perfetto / about:tracing)
-    Jsonl,   ///< one JSON object per line
-};
-
-/** Parse "chrome" | "jsonl"; fatal() otherwise. */
-TraceFormat traceFormatFromName(std::string_view name);
 
 /** One dispatched event, as seen by the engine's trace hook. */
 struct TraceRecord
@@ -132,11 +120,8 @@ class TraceSet
      */
     JsonValue chromeTraceJson() const;
 
-    /** Compact form: one {"track","time","seq"} object per line. */
-    std::string jsonl() const;
-
-    /** Render in `format` and write atomically (tmp + rename). */
-    void write(const std::string& path, TraceFormat format) const;
+    /** chromeTraceJson() to `path`, written atomically. */
+    void write(const std::string& path) const;
 
   private:
     std::size_t cap;

@@ -30,6 +30,20 @@ ParallelResult::modeledSpeedup(std::uint64_t serialEvents) const
            / static_cast<double>(parallelCritical);
 }
 
+SqsResult
+ParallelResult::toSqsResult() const
+{
+    SqsResult result;
+    result.converged = converged;
+    result.termination = termination;
+    result.backend = backend;
+    result.events = totalEvents;
+    result.wallSeconds = wallSeconds;
+    result.estimates = estimates;
+    result.failures = failures;
+    return result;
+}
+
 const char*
 slaveStatusName(SlaveStatus status)
 {
@@ -71,6 +85,9 @@ ParallelRunner::ParallelRunner(ModelBuilder modelBuilder,
 }
 
 namespace {
+
+/// Wall-clock spacing of ParallelConfig::progress publications.
+constexpr double kProgressIntervalSeconds = 0.5;
 
 /**
  * Advance a simulation until every metric finished calibration.
@@ -147,6 +164,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     Rng seeder(rootSeed);
     SqsSimulation master(cfg.sqs, seeder.next());
     builder(master);
+    result.backend = master.backend();
     if (cfg.instrument)
         cfg.instrument(master, 0, true);
     const std::size_t metricCount = master.stats().metricCount();
@@ -674,9 +692,9 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             }
             if (cfg.progress
                 && secondsSince(lastProgress, now)
-                       >= cfg.progressIntervalSeconds) {
+                       >= kProgressIntervalSeconds) {
                 // Under mtx, like the checkpoint write above: the
-                // callback is a quick status-file rewrite.
+                // callback is a quick status.json rewrite.
                 cfg.progress(buildProgress(now));
                 lastProgress = now;
             }
@@ -839,7 +857,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
 
     if (cfg.progress) {
         // Terminal snapshot: final per-slave outcomes and the merge
-        // verdict — the record a status-file consumer is left with.
+        // verdict — the record a status.json consumer is left with.
         ParallelProgressSnapshot snap;
         snap.phase = "merged";
         snap.converged = result.converged;

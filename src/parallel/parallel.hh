@@ -66,7 +66,7 @@ const char* slaveStatusName(SlaveStatus status);
 
 /**
  * Live view of one slave while a parallel run is in flight — the
- * machine-readable progress surface behind `bighouse_run --status-file`.
+ * machine-readable progress surface behind the CLI's status.json.
  */
 struct ParallelSlaveProgress
 {
@@ -140,10 +140,10 @@ struct ParallelConfig
     /// the sample is published — the instance is quiescent, so the hook
     /// may sample engine/stats state (telemetry) freely.
     std::function<void(const SqsSimulation&, std::size_t)> onSlaveDone;
-    /// Periodic progress publication from the monitor thread, plus one
-    /// terminal snapshot (phase "merged") after the merge completes.
+    /// Progress publication from the monitor thread every half second,
+    /// plus one terminal snapshot (phase "merged") after the merge
+    /// completes.
     std::function<void(const ParallelProgressSnapshot&)> progress;
-    double progressIntervalSeconds = 0.5;
 };
 
 /** Per-slave supervision record (the failure roster of a run). */
@@ -161,6 +161,9 @@ struct ParallelResult
 {
     bool converged = false;
     TerminationReason termination = TerminationReason::Converged;
+    /// The backend the master ran (slaves build the same model, so they
+    /// resolve to the same one).
+    SimBackend backend = SimBackend::Des;
     std::vector<MetricEstimate> estimates;  ///< merged across slaves
     /// Summed failure totals (master + every slave that ran); present
     /// only when the model installs a failure probe.
@@ -198,6 +201,13 @@ struct ParallelResult
      * uniform. Provided by the Fig. 10 bench.
      */
     double modeledSpeedup(std::uint64_t serialEvents) const;
+
+    /**
+     * The run as a serial-shaped result (campaign cache entries, the
+     * CLI's result.json). simulatedTime is 0 because per-slave clocks do
+     * not aggregate; timelines stay per contributor in `timelines`.
+     */
+    SqsResult toSqsResult() const;
 };
 
 /** Orchestrates one master and N slave simulations. */

@@ -18,19 +18,21 @@
 namespace bighouse {
 namespace {
 
-/** A Google-leaf experiment at 50% load, reused across tests. */
+/**
+ * A Google-leaf experiment at 50% load, reused across tests. Most tests
+ * assert event-denominated expectations (batch sizes, valve promptness,
+ * per-slave event shares), so the default pins the event engine rather
+ * than letting `auto` pick the recurrence fast path.
+ */
 ModelBuilder
-googleBuilder(double accuracy)
+googleBuilder(double accuracy, SimBackend backend = SimBackend::Des)
 {
     ExperimentSpec spec;
     spec.workload = scaledToLoad(makeWorkload("google"), 16, 0.5);
     spec.servers = 1;
     spec.coresPerServer = 16;
     spec.sqs.accuracy = accuracy;
-    // These tests assert event-denominated expectations (batch sizes,
-    // valve promptness, per-slave event shares), so pin the event engine
-    // rather than letting `auto` pick the recurrence fast path.
-    spec.simBackend = SimBackend::Des;
+    spec.simBackend = backend;
     auto experiment = std::make_shared<Experiment>(std::move(spec));
     return [experiment](SqsSimulation& sim) {
         experiment->buildInto(sim);
@@ -105,6 +107,21 @@ TEST(Parallel, PhaseAccountingPopulated)
     }
     EXPECT_GT(result.totalEvents, result.masterCalibrationEvents);
     EXPECT_GT(result.wallSeconds, 0.0);
+}
+
+TEST(Parallel, ResultReportsTheBackendThatRan)
+{
+    ParallelConfig cfg;
+    cfg.slaves = 2;
+    cfg.sqs = parallelSqs(0.1);
+    // A plain FCFS station: `auto` resolves to the recurrence.
+    ParallelRunner runner(googleBuilder(0.1, SimBackend::Auto), cfg);
+    const ParallelResult result = runner.run(11);
+    EXPECT_EQ(result.backend, SimBackend::Recurrence);
+    const SqsResult serialShaped = result.toSqsResult();
+    EXPECT_EQ(serialShaped.backend, SimBackend::Recurrence);
+    EXPECT_EQ(serialShaped.events, result.totalEvents);
+    EXPECT_EQ(serialShaped.converged, result.converged);
 }
 
 TEST(Parallel, ModeledSpeedupBehavesLikeAmdahl)

@@ -4,10 +4,10 @@
  *
  * Usage:
  *   bh_campaign run <campaign.json> [--seed N] [--dry-run] [--lax]
- *                   [--max-points N] [--csv]
- *   bh_campaign status <campaign.json> [--lax] [--csv]
- *   bh_campaign export <campaign.json> [--lax] [--csv | --json]
- *                      [--out FILE]
+ *                   [--max-points N] [--csv] [--report DIR] [--progress]
+ *   bh_campaign status <campaign.json> [--seed N] [--lax] [--csv]
+ *   bh_campaign export <campaign.json> [--seed N] [--lax]
+ *                      [--csv | --json] [--out FILE] [--timeline-out FILE]
  *
  * `run` expands the campaign, probes the content-addressed result cache,
  * and simulates only the missing points (across one shared slave pool);
@@ -15,9 +15,14 @@
  * so a killed campaign resumes by simply running again. `--dry-run`
  * prints the plan — points, seeds, cache hits — without simulating or
  * touching the cache. `--max-points N` stops after N uncached points
- * (the deterministic stand-in for an interrupted sweep). `status` shows
- * the per-point cache state; `export` emits every cached result as CSV
- * (default) or JSON, metrics in sorted, stable order.
+ * (the deterministic stand-in for an interrupted sweep). `--report DIR`
+ * keeps DIR/status.json (`bighouse-status-v1`, kind "campaign") rewritten
+ * atomically as points finish, terminal at the end. `status` shows the
+ * per-point cache state; `export` emits every cached result as CSV
+ * (default) or JSON, metrics in sorted, stable order, and
+ * `--timeline-out` writes every cached point's timeline as one
+ * `bighouse-timeline-v1` JSONL file. A flag given to a command that
+ * does not use it is a usage error.
  *
  * Exit status: 0 when every point has a converged-or-cached result, 1
  * when any point is pending or failed, 2 on usage errors.
@@ -36,7 +41,6 @@
 #include "campaign/runner.hh"
 #include "config/config.hh"
 #include "obs/status.hh"
-#include "obs/telemetry.hh"
 #include "obs/timeline.hh"
 
 using namespace bighouse;
@@ -48,13 +52,12 @@ usage(const char* argv0)
 {
     std::fprintf(stderr,
                  "usage: %s run <campaign.json> [--seed N] [--dry-run] "
-                 "[--lax] [--max-points N] [--csv] "
-                 "[--status-file file.json] [--telemetry-out file.json] "
+                 "[--lax] [--max-points N] [--csv] [--report DIR] "
                  "[--progress]\n"
-                 "       %s status <campaign.json> [--lax] [--csv]\n"
-                 "       %s export <campaign.json> [--lax] "
-                 "[--csv | --json] [--out FILE] "
-                 "[--timeline-out FILE [--timeline-format jsonl|csv]]\n"
+                 "       %s status <campaign.json> [--seed N] [--lax] "
+                 "[--csv]\n"
+                 "       %s export <campaign.json> [--seed N] [--lax] "
+                 "[--csv | --json] [--out FILE] [--timeline-out FILE]\n"
                  "       %s --version\n",
                  argv0, argv0, argv0, argv0);
     std::exit(2);
@@ -103,16 +106,19 @@ main(int argc, char** argv)
     if (argc < 3)
         usage(argv[0]);
     const std::string command = argv[1];
+    if (command != "run" && command != "status" && command != "export")
+        usage(argv[0]);
     const char* configPath = nullptr;
     const char* outPath = nullptr;
     const char* timelinePath = nullptr;
-    bool timelineCsvOut = false;
-    const char* statusPath = nullptr;
-    const char* telemetryPath = nullptr;
+    const char* reportDir = nullptr;
     bool progress = false;
     CampaignOptions options;
     bool csv = false;
     bool json = false;
+    // The last flag seen that only `run` (only `export`) reads.
+    const char* runOnly = nullptr;
+    const char* exportOnly = nullptr;
 
     for (int i = 2; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
@@ -120,36 +126,30 @@ main(int argc, char** argv)
         } else if (std::strcmp(argv[i], "--max-points") == 0
                    && i + 1 < argc) {
             options.maxPoints = std::strtoull(argv[++i], nullptr, 10);
+            runOnly = "--max-points";
+        } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
+            reportDir = argv[++i];
+            runOnly = "--report";
+        } else if (std::strcmp(argv[i], "--progress") == 0) {
+            progress = true;
+            runOnly = "--progress";
+        } else if (std::strcmp(argv[i], "--dry-run") == 0) {
+            options.dryRun = true;
+            runOnly = "--dry-run";
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             outPath = argv[++i];
+            exportOnly = "--out";
         } else if (std::strcmp(argv[i], "--timeline-out") == 0
                    && i + 1 < argc) {
             timelinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--timeline-format") == 0
-                   && i + 1 < argc) {
-            const char* fmt = argv[++i];
-            if (std::strcmp(fmt, "jsonl") == 0)
-                timelineCsvOut = false;
-            else if (std::strcmp(fmt, "csv") == 0)
-                timelineCsvOut = true;
-            else
-                fatal("--timeline-format must be jsonl or csv, got ", fmt);
-        } else if (std::strcmp(argv[i], "--status-file") == 0
-                   && i + 1 < argc) {
-            statusPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--telemetry-out") == 0
-                   && i + 1 < argc) {
-            telemetryPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--progress") == 0) {
-            progress = true;
-        } else if (std::strcmp(argv[i], "--dry-run") == 0) {
-            options.dryRun = true;
+            exportOnly = "--timeline-out";
+        } else if (std::strcmp(argv[i], "--json") == 0) {
+            json = true;
+            exportOnly = "--json";
         } else if (std::strcmp(argv[i], "--lax") == 0) {
             options.strict = false;
         } else if (std::strcmp(argv[i], "--csv") == 0) {
             csv = true;
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
         } else if (argv[i][0] == '-') {
             usage(argv[0]);
         } else if (configPath == nullptr) {
@@ -160,32 +160,35 @@ main(int argc, char** argv)
     }
     if (configPath == nullptr || (csv && json))
         usage(argv[0]);
+    if (runOnly != nullptr && command != "run")
+        fatal(runOnly, " applies to `run` only");
+    if (exportOnly != nullptr && command != "export")
+        fatal(exportOnly, " applies to `export` only");
 
     const Config config = Config::fromFile(configPath);
     CampaignSpec spec = campaignSpecFromConfig(config, options.strict);
 
-    if (statusPath != nullptr || telemetryPath != nullptr || progress) {
-        if (command != "run")
-            fatal("--status-file/--telemetry-out/--progress apply to "
-                  "`run` only");
-    }
-    if (timelinePath != nullptr && command != "export")
-        fatal("--timeline-out applies to `export` only");
-
     if (command == "run") {
+        if (options.dryRun && reportDir != nullptr)
+            std::printf("report: would write %s/status.json\n", reportDir);
+        const std::string statusPath =
+            reportDir == nullptr || options.dryRun
+                ? std::string()
+                : prepareReportDir(reportDir, {"status.json"})
+                      + "status.json";
         // The progress callback needs runner.points() for the per-point
         // axes, so the runner is built after the callback captures the
         // (stable) pointer slot. The runner never invokes progress from
         // its constructor.
         std::unique_ptr<CampaignRunner> runner;
-        if (statusPath != nullptr || progress) {
-            options.progress = [&runner, statusPath, progress](
+        if (!statusPath.empty() || progress) {
+            options.progress = [&runner, &statusPath, progress](
                                    const CampaignReport& report,
                                    bool terminal) {
-                if (statusPath != nullptr)
-                    writeStatusFile(statusPath,
-                                    campaignStatusJson(runner->points(),
-                                                       report, terminal));
+                if (!statusPath.empty())
+                    writeJsonFile(statusPath,
+                                  campaignStatusJson(runner->points(),
+                                                     report, terminal));
                 if (progress)
                     printProgressLine(campaignProgressLine(report));
             };
@@ -195,15 +198,6 @@ main(int argc, char** argv)
         const CampaignReport report = runner->run();
         if (progress)
             std::fprintf(stderr, "\r\033[K");
-        if (telemetryPath != nullptr) {
-            TelemetryRegistry telemetry;
-            TelemetrySlab& slab = telemetry.slab("campaign");
-            slab.set(TelemetryCounter::PointsCached, report.cached);
-            slab.set(TelemetryCounter::PointsRan, report.ran);
-            slab.set(TelemetryCounter::PointsFailed, report.failed);
-            slab.set(TelemetryCounter::PointsPending, report.pending);
-            telemetry.write(telemetryPath);
-        }
         const TextTable table =
             campaignStatusTable(runner->points(), report);
         std::printf("%s", csv ? table.toCsv().c_str()
@@ -269,10 +263,7 @@ main(int argc, char** argv)
                 fatal("--timeline-out: no cached point carries a "
                       "timeline (add a `timeline` block to the base "
                       "config and re-run the campaign)");
-            if (timelineCsvOut)
-                writeTimelineCsv(timelinePath, sources);
-            else
-                writeTimelineJsonl(timelinePath, sources);
+            writeTimelineJsonl(timelinePath, sources);
         }
         return report.complete() ? 0 : 1;
     }

@@ -6,38 +6,36 @@
  *
  * Usage:
  *   bighouse_run <config.json> [--seed N] [--slaves K]
- *                [--replications R] [--json out.json] [--csv]
+ *                [--replications R] [--report DIR] [--progress] [--csv]
  *                [--min-healthy Q] [--watchdog SECONDS]
  *                [--checkpoint file.json] [--resume file.json]
- *                [--dry-run] [--lax]
+ *                [--dry-run] [--lax] [--version]
  *
  * --dry-run parses and validates the config, prints what would run, and
- * exits without simulating. Config keys outside the known schema are a
- * hard error unless --lax is given.
+ * exits without simulating or creating anything. Config keys outside the
+ * known schema are a hard error unless --lax is given.
  *
  * With --slaves K the measurement phase is split across K in-process
  * slave simulations with unique seeds and merged histograms (Fig. 3).
  * With --replications R the whole experiment runs R times and the
  * between-replication Student-t intervals are reported instead.
- * --json writes the (serial-run) estimates as machine-readable JSON.
  *
  * Parallel runs are supervised (see docs/robustness.md): --min-healthy
  * sets the merge quorum, --watchdog abandons slaves that stop publishing
  * progress, --checkpoint writes periodic resumable snapshots, and
- * --resume continues an interrupted run from such a snapshot.
+ * --resume continues an interrupted run from such a snapshot, under the
+ * checkpoint's root seed.
  *
- * Observability (docs/observability.md): --trace records event dispatches
- * into bounded ring buffers and writes Chrome trace-event JSON (or JSONL
- * with --trace-format jsonl), --telemetry-out dumps the counter/gauge
- * registry, --convergence-out (serial runs) writes the per-metric
- * convergence time series, --timeline-out exports the simulated-time
- * windowed series (queue depth, busy cores, availability, dispatch and
- * retry waves; `bighouse-timeline-v1` JSONL, or CSV with
- * --timeline-format csv), --status-file keeps a machine-readable status
- * document refreshed atomically while the run is in flight, and
- * --progress prints a live one-line progress indicator to stderr. All of
- * these attach through pull-based hooks, so the simulated event stream —
- * and therefore every estimate — is bit-identical with or without them.
+ * Observability (docs/observability.md): --report DIR writes one report
+ * directory, every file atomically — result.json (the estimates),
+ * status.json (`bighouse-status-v1`, rewritten live, terminal last),
+ * convergence.json (serial runs: the per-metric convergence series),
+ * telemetry.json (the counter registry), trace.json (Chrome trace-event
+ * JSON, one track per simulation), and timeline.jsonl when the config
+ * has a `timeline` block. --progress prints a live one-line progress
+ * indicator to stderr. Both attach through pull-based hooks, so the
+ * simulated event stream — and therefore every estimate — is
+ * bit-identical with or without them.
  */
 
 #include <chrono>
@@ -45,6 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "base/build_info.hh"
@@ -70,14 +69,9 @@ usage(const char* argv0)
 {
     std::fprintf(stderr,
                  "usage: %s <config.json> [--seed N] [--slaves K] "
-                 "[--replications R] [--json out.json] [--csv] "
+                 "[--replications R] [--report DIR] [--progress] [--csv] "
                  "[--min-healthy Q] [--watchdog SECONDS] "
                  "[--checkpoint file.json] [--resume file.json] "
-                 "[--trace file.json] [--trace-format chrome|jsonl] "
-                 "[--telemetry-out file.json] "
-                 "[--convergence-out file.json] "
-                 "[--timeline-out file] [--timeline-format jsonl|csv] "
-                 "[--status-file file.json] [--progress] "
                  "[--dry-run] [--lax] [--version]\n",
                  argv0);
     std::exit(2);
@@ -137,18 +131,12 @@ int
 main(int argc, char** argv)
 {
     const char* configPath = nullptr;
-    const char* jsonPath = nullptr;
     const char* checkpointPath = nullptr;
     const char* resumePath = nullptr;
-    const char* tracePath = nullptr;
-    const char* telemetryPath = nullptr;
-    const char* convergencePath = nullptr;
-    const char* timelinePath = nullptr;
-    bool timelineCsv = false;
-    const char* statusPath = nullptr;
-    TraceFormat traceFormat = TraceFormat::Chrome;
+    const char* reportDir = nullptr;
     bool progress = false;
     std::uint64_t seed = 1;
+    bool seedGiven = false;
     std::size_t slaves = 0;
     std::size_t minHealthy = 1;
     double watchdogSeconds = 0.0;
@@ -164,6 +152,7 @@ main(int argc, char** argv)
         }
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
             seed = std::strtoull(argv[++i], nullptr, 10);
+            seedGiven = true;
         } else if (std::strcmp(argv[i], "--slaves") == 0 && i + 1 < argc) {
             slaves = std::strtoull(argv[++i], nullptr, 10);
         } else if (std::strcmp(argv[i], "--min-healthy") == 0
@@ -181,34 +170,8 @@ main(int argc, char** argv)
         } else if (std::strcmp(argv[i], "--replications") == 0
                    && i + 1 < argc) {
             replications = std::strtoull(argv[++i], nullptr, 10);
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            jsonPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-            tracePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace-format") == 0
-                   && i + 1 < argc) {
-            traceFormat = traceFormatFromName(argv[++i]);
-        } else if (std::strcmp(argv[i], "--telemetry-out") == 0
-                   && i + 1 < argc) {
-            telemetryPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--convergence-out") == 0
-                   && i + 1 < argc) {
-            convergencePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--timeline-out") == 0
-                   && i + 1 < argc) {
-            timelinePath = argv[++i];
-        } else if (std::strcmp(argv[i], "--timeline-format") == 0
-                   && i + 1 < argc) {
-            const char* fmt = argv[++i];
-            if (std::strcmp(fmt, "jsonl") == 0)
-                timelineCsv = false;
-            else if (std::strcmp(fmt, "csv") == 0)
-                timelineCsv = true;
-            else
-                fatal("--timeline-format must be jsonl or csv, got ", fmt);
-        } else if (std::strcmp(argv[i], "--status-file") == 0
-                   && i + 1 < argc) {
-            statusPath = argv[++i];
+        } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
+            reportDir = argv[++i];
         } else if (std::strcmp(argv[i], "--progress") == 0) {
             progress = true;
         } else if (std::strcmp(argv[i], "--csv") == 0) {
@@ -236,22 +199,21 @@ main(int argc, char** argv)
         && slaves == 0)
         fatal("--checkpoint/--min-healthy/--watchdog apply to parallel "
               "runs; add --slaves K");
-    if (convergencePath != nullptr && slaves > 0)
-        fatal("--convergence-out records a single simulation's series; "
-              "it applies to serial runs only");
-    if (replications > 0
-        && (tracePath != nullptr || telemetryPath != nullptr
-            || convergencePath != nullptr || statusPath != nullptr
-            || timelinePath != nullptr))
-        fatal("--trace/--telemetry-out/--convergence-out/--timeline-out/"
-              "--status-file are not supported with --replications");
+    if (replications > 0 && (reportDir != nullptr || progress))
+        fatal(reportDir != nullptr ? "--report" : "--progress",
+              " is not supported with --replications");
 
     const Config config = Config::fromFile(configPath);
     ExperimentSpec spec = Experiment::specFromConfig(config, strict);
-    // --timeline-out on a config without a timeline block attaches the
-    // default spec (1 s windows, every track) — the flag is the ask.
-    if (timelinePath != nullptr && !spec.timeline.has_value())
-        spec.timeline = TimelineSpec{};
+    std::optional<ParallelCheckpoint> checkpoint;
+    if (resumePath != nullptr) {
+        checkpoint = readCheckpoint(resumePath);
+        if (seedGiven && seed != checkpoint->rootSeed)
+            fatal("--seed ", seed, " differs from the root seed ",
+                  checkpoint->rootSeed,
+                  " of the --resume checkpoint, which the run continues");
+        seed = checkpoint->rootSeed;
+    }
 
     if (dryRun) {
         const char* model = "fcfs";
@@ -261,6 +223,11 @@ main(int argc, char** argv)
           case ServerModel::DreamWeaver: model = "dreamweaver"; break;
           case ServerModel::PowerNap: model = "powernap"; break;
         }
+        std::string mode = "serial";
+        if (slaves > 0)
+            mode = "parallel, " + std::to_string(slaves) + " slaves";
+        else if (replications > 0)
+            mode = std::to_string(replications) + " replications";
         std::printf("dry run: %s\n", configPath);
         std::printf("  cluster: %zu x %u-core %s server(s), "
                     "loadFactor %.6g\n",
@@ -269,11 +236,11 @@ main(int argc, char** argv)
         std::printf("  sqs: accuracy %.6g, confidence %.6g, seed %llu, "
                     "%s\n",
                     spec.sqs.accuracy, spec.sqs.confidence,
-                    static_cast<unsigned long long>(seed),
-                    slaves == 0 ? "serial"
-                                : "parallel (see --slaves)");
+                    static_cast<unsigned long long>(seed), mode.c_str());
         std::printf("  capping: %s\n",
                     spec.capping.has_value() ? "enabled" : "none");
+        if (reportDir != nullptr)
+            std::printf("  report: would write %s/\n", reportDir);
         std::printf("validated; nothing simulated\n");
         return 0;
     }
@@ -296,36 +263,42 @@ main(int argc, char** argv)
         return result.allConverged ? 0 : 1;
     }
 
+    // Empty when there is no report; otherwise "DIR/", ready for a file
+    // name.
+    const std::string report =
+        reportDir == nullptr
+            ? std::string()
+            : prepareReportDir(reportDir,
+                               {"result.json", "status.json",
+                                "convergence.json", "telemetry.json",
+                                "trace.json", "timeline.jsonl"});
+    TraceSet traces;
+    TelemetryRegistry telemetry;
+
     if (slaves == 0) {
         const Experiment experiment(std::move(spec));
-        TraceSet traces;
-        TelemetryRegistry telemetry;
         ConvergenceRecorder recorder;
+        TelemetrySlab& slab = telemetry.slab("serial");
         const auto wallStart = std::chrono::steady_clock::now();
         auto lastTick = wallStart;
 
         // One batch observer multiplexes every surface; estimates are
         // snapshotted once per tick, never inside event callbacks.
         const auto instrument = [&](SqsSimulation& sim) {
-            if (tracePath != nullptr)
-                traces.attach(sim.engine(), "serial");
-            if (convergencePath == nullptr && statusPath == nullptr
-                && telemetryPath == nullptr && !progress)
+            if (report.empty() && !progress)
                 return;
+            if (!report.empty())
+                traces.attach(sim.engine(), "serial");
             sim.setBatchObserver([&](const SqsSimulation& s,
                                      std::uint64_t events) {
-                if (convergencePath != nullptr)
+                if (!report.empty()) {
                     recorder.observe(s.stats(), events);
-                if (telemetryPath != nullptr) {
                     // Absolute-value samples: re-running every batch
                     // just refreshes the same cells.
-                    TelemetrySlab& slab = telemetry.slab("serial");
                     sampleEngineTelemetry(slab, s.engine());
                     sampleStatsTelemetry(slab, s.stats());
                     slab.add(TelemetryCounter::BatchesObserved);
                 }
-                if (statusPath == nullptr && !progress)
-                    return;
                 // Status/TTY ticks are wall-clock throttled; the
                 // simulated stream is untouched either way.
                 const auto now = std::chrono::steady_clock::now();
@@ -335,12 +308,12 @@ main(int argc, char** argv)
                     return;
                 lastTick = now;
                 const auto estimates = s.stats().estimates();
-                if (statusPath != nullptr)
-                    writeStatusFile(
-                        statusPath,
-                        serialStatusJson(estimates, events,
-                                         secondsSince(wallStart), false,
-                                         false, nullptr));
+                if (!report.empty())
+                    writeJsonFile(report + "status.json",
+                                  serialStatusJson(
+                                      estimates, events,
+                                      secondsSince(wallStart), false,
+                                      false, nullptr));
                 if (progress)
                     printProgressLine(
                         serialProgressLine(estimates, events));
@@ -350,50 +323,36 @@ main(int argc, char** argv)
         const SqsResult result = experiment.run(seed, instrument);
         if (progress)
             std::fprintf(stderr, "\r\033[K");
-        if (statusPath != nullptr)
-            writeStatusFile(
-                statusPath,
-                serialStatusJson(result.estimates, result.events,
-                                 secondsSince(wallStart), true,
-                                 result.converged,
-                                 terminationReasonName(
-                                     result.termination)));
-        if (tracePath != nullptr)
-            traces.write(tracePath, traceFormat);
-        if (convergencePath != nullptr)
-            recorder.write(convergencePath);
-        if (telemetryPath != nullptr) {
-            // The run is quiescent; pull the final engine/stats state.
-            TelemetrySlab& slab = telemetry.slab("serial");
-            sampleRngTelemetry(slab);
+        if (!report.empty()) {
+            writeResult(report + "result.json", result);
+            recorder.write(report + "convergence.json");
+            // Final counts come from the result. Under the recurrence
+            // backend "events" are tasks; surface them under their own
+            // name so dashboards can tell which execution path produced
+            // the run.
             slab.set(TelemetryCounter::EventsExecuted, result.events);
-            // Under the recurrence backend "events" are tasks; surface
-            // them under their own name so dashboards can tell which
-            // execution path produced the run.
             slab.set(TelemetryCounter::RecurrenceTasks,
                      result.backend == SimBackend::Recurrence
                          ? result.events
                          : 0);
-            slab.setGauge(TelemetryGauge::RunSeconds,
-                          result.wallSeconds);
             if (result.failures.has_value())
                 sampleFailureTelemetry(slab, *result.failures);
-            telemetry.write(telemetryPath);
-        }
-        if (timelinePath != nullptr) {
-            if (!result.timeline.has_value())
-                fatal("--timeline-out given but the run produced no "
-                      "timeline");
-            const std::vector<TimelineData> sources = {*result.timeline};
-            if (timelineCsv)
-                writeTimelineCsv(timelinePath, sources);
-            else
-                writeTimelineJsonl(timelinePath, sources);
+            telemetry.write(report + "telemetry.json");
+            traces.write(report + "trace.json");
+            if (result.timeline.has_value())
+                writeTimelineJsonl(report + "timeline.jsonl",
+                                   {*result.timeline});
+            // Terminal status last: a watcher that sees it can read
+            // every other file.
+            writeJsonFile(report + "status.json",
+                          serialStatusJson(
+                              result.estimates, result.events,
+                              secondsSince(wallStart), true,
+                              result.converged,
+                              terminationReasonName(result.termination)));
         }
         if (!csv)
             std::printf("%s\n", summarizeRun(result).c_str());
-        if (jsonPath != nullptr)
-            writeResult(jsonPath, result);
         printEstimates(result.estimates, csv);
         return result.converged ? 0 : 1;
     }
@@ -407,22 +366,17 @@ main(int argc, char** argv)
     if (checkpointPath != nullptr)
         parallel.checkpointPath = checkpointPath;
 
-    TraceSet traces;
-    TelemetryRegistry telemetry;
     const auto trackLabel = [](std::size_t index, bool isMaster) {
         return isMaster ? std::string("master")
                         : "slave-" + std::to_string(index);
     };
-    if (tracePath != nullptr) {
+    if (!report.empty()) {
         parallel.instrument = [&traces, &trackLabel](SqsSimulation& sim,
                                                      std::size_t index,
                                                      bool isMaster) {
             traces.attach(sim.engine(), trackLabel(index, isMaster));
         };
-    }
-    if (telemetryPath != nullptr) {
-        // Runs on the slave's own thread after it quiesces, so the
-        // thread-local RNG tally is the slave's own.
+        // Runs on the slave's own thread after it quiesces.
         parallel.onSlaveDone = [&telemetry,
                                 &trackLabel](const SqsSimulation& sim,
                                              std::size_t index) {
@@ -430,48 +384,48 @@ main(int argc, char** argv)
                 telemetry.slab(trackLabel(index, false));
             sampleEngineTelemetry(slab, sim.engine());
             sampleStatsTelemetry(slab, sim.stats());
-            sampleRngTelemetry(slab);
             if (sim.failureProbe())
                 sampleFailureTelemetry(slab, sim.failureProbe()());
         };
     }
-    if (statusPath != nullptr || progress) {
-        parallel.progress =
-            [statusPath, progress](const ParallelProgressSnapshot& snap) {
-                const bool terminal = snap.phase == "merged";
-                if (statusPath != nullptr)
-                    writeStatusFile(statusPath,
-                                    parallelStatusJson(snap, terminal));
-                if (progress)
-                    printProgressLine(parallelProgressLine(snap));
-            };
+    // The terminal ("merged") snapshot is held back and written after
+    // the rest of the report.
+    ParallelProgressSnapshot merged;
+    if (!report.empty() || progress) {
+        parallel.progress = [&report, &merged,
+                             progress](const ParallelProgressSnapshot& snap) {
+            if (snap.phase == "merged")
+                merged = snap;
+            else if (!report.empty())
+                writeJsonFile(report + "status.json",
+                              parallelStatusJson(snap, false));
+            if (progress)
+                printProgressLine(parallelProgressLine(snap));
+        };
     }
 
     ParallelRunner runner(
         [experiment](SqsSimulation& sim) { experiment->buildInto(sim); },
         parallel);
     const ParallelResult result =
-        resumePath != nullptr ? runner.resume(readCheckpoint(resumePath))
-                              : runner.run(seed);
+        checkpoint.has_value() ? runner.resume(*checkpoint)
+                               : runner.run(seed);
     if (progress)
         std::fprintf(stderr, "\r\033[K");
-    if (tracePath != nullptr)
-        traces.write(tracePath, traceFormat);
-    if (telemetryPath != nullptr)
-        telemetry.write(telemetryPath);
-    if (timelinePath != nullptr) {
-        if (result.timelines.empty())
-            fatal("--timeline-out given but the run produced no "
-                  "timelines");
-        if (timelineCsv)
-            writeTimelineCsv(timelinePath, result.timelines);
-        else
-            writeTimelineJsonl(timelinePath, result.timelines);
+    if (!report.empty()) {
+        writeResult(report + "result.json", result.toSqsResult());
+        telemetry.write(report + "telemetry.json");
+        traces.write(report + "trace.json");
+        if (!result.timelines.empty())
+            writeTimelineJsonl(report + "timeline.jsonl", result.timelines);
+        writeJsonFile(report + "status.json",
+                      parallelStatusJson(merged, true));
     }
     if (!csv) {
-        std::printf("parallel run: %zu slaves (%zu healthy), %llu total "
-                    "events, %.3fs wall, %s [%s]%s\n",
+        std::printf("parallel run: %zu slaves (%zu healthy), %s backend, "
+                    "%llu total events, %.3fs wall, %s [%s]%s\n",
                     slaves, result.healthySlaves,
+                    simBackendName(result.backend),
                     static_cast<unsigned long long>(result.totalEvents),
                     result.wallSeconds,
                     result.converged ? "converged" : "NOT converged",
@@ -488,14 +442,14 @@ main(int argc, char** argv)
                             result.resumedBaseEvents));
         }
         for (std::size_t s = 0; s < result.slaveReports.size(); ++s) {
-            const SlaveReport& report = result.slaveReports[s];
-            if (report.status == SlaveStatus::Ok)
+            const SlaveReport& slave = result.slaveReports[s];
+            if (slave.status == SlaveStatus::Ok)
                 continue;
             std::printf("slave %zu: %s%s%s%s\n", s,
-                        slaveStatusName(report.status),
-                        report.abandoned ? " (abandoned)" : "",
-                        report.error.empty() ? "" : " — ",
-                        report.error.c_str());
+                        slaveStatusName(slave.status),
+                        slave.abandoned ? " (abandoned)" : "",
+                        slave.error.empty() ? "" : " — ",
+                        slave.error.c_str());
         }
     }
     printEstimates(result.estimates, csv);
