@@ -86,6 +86,17 @@ BM_Empirical(benchmark::State& state)
 }
 BENCHMARK(BM_Empirical)->Arg(100)->Arg(1000)->Arg(10000);
 
+void
+BM_EmpiricalWebService(benchmark::State& state)
+{
+    // The shipped web.service.dist (Cv 3.5, 1,196 empty bins), the
+    // mg1_recurrence service input: most of its mass sits in a few bins,
+    // so the top guide cell spans over a thousand bins.
+    sampleLoop(state, EmpiricalDistribution::fromFile(
+                          BIGHOUSE_DATA_DIR "/web.service.dist"));
+}
+BENCHMARK(BM_EmpiricalWebService);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -104,9 +104,10 @@ if "fig7_scaling_fcfs" in by_name and "fig7_scaling_recurrence" in by_name:
         % (speedup, des["ns_per_task"], rec["ns_per_task"]))
     print("   fig7 twin: recurrence %.1fx faster per task" % speedup)
 
-# DES drift gate (full mode only): every fixed-seed DES scenario shared
-# with the committed baseline must reproduce its checksum exactly — a
-# perf PR must not silently change event-path semantics.
+# Checksum drift gate (full mode only): every scenario shared with the
+# committed baseline runs fixed-seed work, DES and recurrence alike, and
+# must reproduce its checksum exactly — a perf PR must not silently
+# change simulation semantics.
 if full_mode and os.path.exists(baseline_path):
     with open(baseline_path) as fh:
         base = json.load(fh)
@@ -114,19 +115,15 @@ if full_mode and os.path.exists(baseline_path):
         print("   baseline is quick-mode; skipping checksum drift gate")
     else:
         base_by_name = {e["name"]: e for e in base["scenarios"]}
-        checked = 0
-        for name in ("micro_event_queue", "micro_engine",
-                     "micro_timeline", "micro_stats", "fig7_scaling"):
-            if name not in by_name or name not in base_by_name:
-                continue
+        shared = [name for name in by_name if name in base_by_name]
+        for name in shared:
             assert by_name[name]["checksum"] == \
                 base_by_name[name]["checksum"], (
-                "DES checksum drift in %s: baseline=%r current=%r"
+                "checksum drift in %s: baseline=%r current=%r"
                 % (name, base_by_name[name]["checksum"],
                    by_name[name]["checksum"]))
-            checked += 1
-        print("   %d DES checksums match the committed baseline"
-              % checked)
+        print("   %d checksums match the committed baseline (%s)"
+              % (len(shared), ", ".join(shared)))
 print("   %d scenarios OK" % len(scenarios))
 EOF
 else

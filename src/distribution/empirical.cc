@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -28,6 +29,25 @@ EmpiricalDistribution::finalize(std::vector<double> binWeights)
     }
     cumulative.back() = 1.0;
     binWidth = (hi - lo) / static_cast<double>(cumulative.size());
+    buildGuide();
+}
+
+void
+EmpiricalDistribution::buildGuide()
+{
+    const std::size_t n = cumulative.size();
+    BH_ASSERT(n <= std::numeric_limits<std::uint32_t>::max(),
+              "too many bins for a 32-bit guide table");
+    guide.resize(n);
+    // Every edge k/n is < 1 == cumulative.back(), so the scan stays in
+    // the table.
+    std::size_t bin = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double edge = static_cast<double>(k) / static_cast<double>(n);
+        while (cumulative[bin] < edge)
+            ++bin;
+        guide[k] = static_cast<std::uint32_t>(bin);
+    }
 }
 
 EmpiricalDistribution
@@ -88,12 +108,19 @@ double
 EmpiricalDistribution::quantile(double q) const
 {
     BH_ASSERT(q >= 0.0 && q <= 1.0, "quantile needs q in [0,1]");
-    const auto it =
-        std::lower_bound(cumulative.begin(), cumulative.end(), q);
-    const auto bin =
-        static_cast<std::size_t>(std::distance(cumulative.begin(), it));
-    if (bin >= cumulative.size())
-        return hi;
+    // Start where q's cell begins and step to the std::lower_bound bin:
+    // back over entries >= q, forward over entries < q. The guide only
+    // shortens the walk (floor(q * n) may round into a neighbouring
+    // cell); the compares decide the bin. cumulative.back() == 1 >= q
+    // stops the forward walk inside the table.
+    const std::size_t n = cumulative.size();
+    const auto cell =
+        std::min(static_cast<std::size_t>(q * static_cast<double>(n)), n - 1);
+    std::size_t bin = guide[cell];
+    while (bin > 0 && cumulative[bin - 1] >= q)
+        --bin;
+    while (cumulative[bin] < q)
+        ++bin;
     const double cdfLo = bin == 0 ? 0.0 : cumulative[bin - 1];
     const double cdfHi = cumulative[bin];
     const double frac =
@@ -173,6 +200,8 @@ EmpiricalDistribution::fromFile(const std::string& path)
     }
     if (bins == 0 || !haveRange || dist.hi <= dist.lo)
         fatal("incomplete distribution header in ", path);
+    if (bins > std::numeric_limits<std::uint32_t>::max())
+        fatal("bins ", bins, " in ", path, " exceeds the 32-bit bin index");
 
     dist.cumulative.resize(bins);
     double prev = 0.0;
@@ -183,8 +212,14 @@ EmpiricalDistribution::fromFile(const std::string& path)
             fatal("non-monotone CDF in ", path);
         prev = dist.cumulative[i];
     }
+    if (std::abs(prev - 1.0) > 1e-12)
+        fatal("CDF in ", path, " ends at ", prev, ", not 1");
+    if (std::string extra; in >> extra)
+        fatal("unexpected '", extra, "' after the ", bins,
+              " declared bin values in ", path);
     dist.cumulative.back() = 1.0;
     dist.binWidth = (dist.hi - dist.lo) / static_cast<double>(bins);
+    dist.buildGuide();
     return dist;
 }
 
