@@ -6,17 +6,18 @@
  * The experiment mirrors the paper's: E = .01 (so the required sample is
  * "just under 40,000" at Cv ~ 1) and a 5000-observation calibration that
  * every slave must execute serially before it can contribute measurement
- * samples. Speedup therefore tracks the ideal line up to ~8 slaves and
- * flattens by 16.
+ * samples. In the paper, speedup therefore tracks the ideal line up to
+ * ~8 slaves and flattens by 16.
  *
- * The paper measured wall-clock across 4 hosts. This container has one
- * core, so wall-clock speedup is not observable; instead the bench runs
- * the *real* threaded master/slave protocol (unique seeds, bin-scheme
- * broadcast, aggregate-size convergence, histogram merge — Fig. 3),
- * counts the events each phase executed, and reports the speedup model
- *    T(k) ~ masterCalibration + max_s (slaveCalibration_s + measure_s)
- * normalized by the serial run's event count. Estimate correctness is
- * checked against the serial run. See DESIGN.md substitution #3.
+ * The paper measured wall-clock across 4 hosts. The bench runs the
+ * *real* threaded master/slave protocol (unique seeds, per-slave
+ * calibration, aggregate-size convergence, histogram merge — Fig. 3) but
+ * up to 16 slaves share the host's cores, so instead of wall-clock it
+ * counts the events each slave executed and reports the speedup model
+ *    T(k) ~ max_s (slaveCalibration_s + measure_s)
+ * (the master runs no events: its bins need no calibration) relative to
+ * one slave. Estimate correctness is checked against the serial run. See
+ * DESIGN.md substitution #3.
  */
 
 #include <cstdio>
@@ -87,15 +88,15 @@ main()
     // All configurations share one root seed, so slave s draws the same
     // stream at every cluster size (the k=1 slave set is a prefix of the
     // k=16 set) and speedup is not confounded by per-seed lag choices.
-    // T(k) is the critical path in events: master calibration (serial)
-    // plus the slowest slave's calibration + measurement share; speedup
-    // is T(1)/T(k), the paper's baseline.
+    // T(k) is the critical path in events: the slowest slave's
+    // calibration + measurement share; speedup is T(1)/T(k), the paper's
+    // baseline.
     constexpr std::uint64_t kRootSeed = 2020;
     auto criticalEvents = [](const ParallelResult& result) {
         std::uint64_t slowest = 0;
         for (std::uint64_t events : result.slaveTotalEvents)
             slowest = std::max(slowest, events);
-        return result.masterCalibrationEvents + slowest;
+        return slowest;
     };
 
     // Each point averages several root seeds: the runs-up test picks the
@@ -132,10 +133,12 @@ main()
     }
     std::printf("%s\n", table.toText().c_str());
     std::printf("csv:\n%s\n", table.toCsv().c_str());
-    std::printf("Shape check vs. the paper: near-ideal scaling through "
-                "~8 slaves, then the per-slave warm-up + 5000-observation "
-                "calibration (an Amdahl serial term) bends the curve flat "
-                "by 16 slaves. Merged estimates agree with the serial run "
-                "(ratio ~ 1 within E).\n");
+    std::printf("Shape check vs. the paper: near-ideal scaling while each "
+                "slave has a core, then the per-slave warm-up + "
+                "5000-observation calibration (an Amdahl serial term) bends "
+                "the curve flat; with more slaves than cores the slowest "
+                "slave's share also depends on thread scheduling. Merged "
+                "estimates agree with the serial run (ratio ~ 1 within "
+                "E).\n");
     return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "base/logging.hh"
@@ -125,6 +126,26 @@ join(const std::vector<std::string>& items, std::string_view separator)
         out += items[i];
     }
     return out;
+}
+
+std::uint64_t
+fnv1a64(std::string_view bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+std::string
+hashHex(std::uint64_t hash)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return buf;
 }
 
 std::size_t

@@ -7,6 +7,7 @@
 #ifndef BIGHOUSE_BASE_STRINGS_HH
 #define BIGHOUSE_BASE_STRINGS_HH
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,6 +42,15 @@ std::optional<long long> parseInt(std::string_view text);
 /** Join items with a separator. */
 std::string join(const std::vector<std::string>& items,
                  std::string_view separator);
+
+/**
+ * FNV-1a 64-bit hash: content addressing for campaign cache entries and
+ * parallel checkpoint identities.
+ */
+std::uint64_t fnv1a64(std::string_view bytes);
+
+/** 16-hex-digit rendering of a 64-bit hash (cache file stem). */
+std::string hashHex(std::uint64_t hash);
 
 /** Levenshtein edit distance (for did-you-mean suggestions). */
 std::size_t editDistance(std::string_view a, std::string_view b);

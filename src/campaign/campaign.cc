@@ -9,26 +9,6 @@
 namespace bighouse {
 
 std::uint64_t
-fnv1a64(std::string_view bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
-std::string
-hashHex(std::uint64_t hash)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
-}
-
-std::uint64_t
 derivePointSeed(std::uint64_t campaignSeed, std::uint64_t contentHash)
 {
     // The epoch-mix idiom from parallel.cc: expand the discriminator

@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/strings.hh"
 #include "config/config.hh"
 #include "config/json.hh"
 
@@ -71,12 +72,6 @@ struct SweepPoint
     std::string key;             ///< canonical content key
     std::uint64_t keyHash = 0;   ///< fnv1a64(key); names the cache entry
 };
-
-/** FNV-1a 64-bit hash (content addressing for cache entries). */
-std::uint64_t fnv1a64(std::string_view bytes);
-
-/** 16-hex-digit rendering of a 64-bit hash (cache file stem). */
-std::string hashHex(std::uint64_t hash);
 
 /**
  * Derive a point's root seed from the campaign seed and the hash of the

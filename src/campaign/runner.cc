@@ -282,6 +282,7 @@ CampaignRunner::run()
             pcfg.sqs = experiment->specification().sqs;
             pcfg.pool = &pool;
             pcfg.checkpointPath = checkpointPath(point);
+            pcfg.checkpointIdentity = point.key;
             ParallelRunner runner(
                 [experiment](SqsSimulation& sim) {
                     experiment->buildInto(sim);

@@ -249,6 +249,8 @@ readResult(const std::string& path)
 
 namespace {
 
+constexpr const char* kCheckpointFormat = "bighouse-checkpoint-v2";
+
 JsonValue
 sampleToJson(const CheckpointSample& sample)
 {
@@ -294,7 +296,8 @@ JsonValue
 checkpointToJson(const ParallelCheckpoint& checkpoint)
 {
     JsonValue::Object obj;
-    obj.emplace("format", JsonValue(std::string("bighouse-checkpoint-v1")));
+    obj.emplace("format", JsonValue(std::string(kCheckpointFormat)));
+    obj.emplace("identity", JsonValue(checkpoint.identity));
     obj.emplace("rootSeed",
                 JsonValue(static_cast<double>(checkpoint.rootSeed)));
     obj.emplace("epoch", JsonValue(static_cast<double>(checkpoint.epoch)));
@@ -304,10 +307,6 @@ checkpointToJson(const ParallelCheckpoint& checkpoint)
     for (const std::string& name : checkpoint.metricNames)
         names.push_back(JsonValue(name));
     obj.emplace("metrics", JsonValue(std::move(names)));
-    JsonValue::Array schemes;
-    for (const std::string& scheme : checkpoint.binSchemes)
-        schemes.push_back(JsonValue(scheme));
-    obj.emplace("schemes", JsonValue(std::move(schemes)));
     JsonValue::Array base;
     for (const CheckpointSample& sample : checkpoint.base)
         base.push_back(sampleToJson(sample));
@@ -339,10 +338,20 @@ checkpointFromJson(const JsonValue& json)
 {
     const JsonValue* format = json.find("format");
     if (format == nullptr || !format->isString()
-        || format->asString() != "bighouse-checkpoint-v1") {
+        || !format->asString().starts_with("bighouse-checkpoint-")) {
         fatal("not a BigHouse checkpoint (missing/unknown 'format')");
     }
+    if (format->asString() != kCheckpointFormat) {
+        // v1 stored histograms over calibrated bins that no longer exist.
+        fatal("checkpoint format '", format->asString(),
+              "' is not supported (this build reads '", kCheckpointFormat,
+              "'); start the run afresh");
+    }
     ParallelCheckpoint checkpoint;
+    const JsonValue* identity = json.find("identity");
+    if (identity == nullptr || !identity->isString())
+        fatal("checkpoint JSON missing 'identity' string");
+    checkpoint.identity = identity->asString();
     checkpoint.rootSeed =
         static_cast<std::uint64_t>(requireNumber(json, "rootSeed"));
     checkpoint.epoch =
@@ -353,11 +362,6 @@ checkpointFromJson(const JsonValue& json)
         if (!name.isString())
             fatal("checkpoint 'metrics' entries must be strings");
         checkpoint.metricNames.push_back(name.asString());
-    }
-    for (const JsonValue& scheme : requireArray(json, "schemes")) {
-        if (!scheme.isString())
-            fatal("checkpoint 'schemes' entries must be strings");
-        checkpoint.binSchemes.push_back(scheme.asString());
     }
     const JsonValue* base = json.find("base");
     if (base != nullptr && base->isArray()) {

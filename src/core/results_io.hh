@@ -49,7 +49,7 @@ struct CheckpointSample
     double variance = 0.0;
     double min = 0.0;
     double max = 0.0;
-    std::string histogram;    ///< Histogram::serialize(), scheme included
+    std::string histogram;    ///< Histogram::serialize()
 };
 
 /** One slave's checkpointed contribution. */
@@ -60,13 +60,18 @@ struct CheckpointSlave
 };
 
 /**
- * A resumable snapshot of a parallel run. `base` carries the merged
- * sample inherited from earlier epochs (empty on a first-generation
- * checkpoint); `slaves` carries the current epoch's per-slave samples.
- * Resuming merges both into the new run's prior.
+ * A resumable snapshot of a parallel run ("bighouse-checkpoint-v2").
+ * `base` carries the merged sample inherited from earlier epochs (empty
+ * on a first-generation checkpoint); `slaves` carries the current
+ * epoch's per-slave samples. Resuming merges both into the new run's
+ * prior.
  */
 struct ParallelCheckpoint
 {
+    /// Caller-supplied name of the model and config that produced the
+    /// samples (ParallelConfig::checkpointIdentity); resume rejects a
+    /// mismatch, since the samples would mix two different systems.
+    std::string identity;
     std::uint64_t rootSeed = 0;
     /// Completed resume generations (0 = never resumed). Each epoch's
     /// slaves draw distinct seed streams so resumed measurement is
@@ -75,7 +80,6 @@ struct ParallelCheckpoint
     /// Events paid by earlier epochs (accounting only).
     std::uint64_t baseEvents = 0;
     std::vector<std::string> metricNames;
-    std::vector<std::string> binSchemes;  ///< BinScheme::serialize() per metric
     std::vector<CheckpointSample> base;   ///< merged prior sample (may be empty)
     std::vector<CheckpointSlave> slaves;
 };

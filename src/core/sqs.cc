@@ -80,7 +80,6 @@ SqsSimulation::defaultMetricSpec(std::string name) const
     spec.calibrationSamples = cfg.calibrationSamples;
     spec.target = ConfidenceSpec{cfg.accuracy, cfg.confidence};
     spec.quantiles = cfg.quantiles;
-    spec.histogramBins = cfg.histogramBins;
     return spec;
 }
 

@@ -60,7 +60,6 @@ struct SqsConfig
     double accuracy = 0.05;                   ///< E of Eq. 1
     double confidence = 0.95;
     std::vector<double> quantiles = {0.95};
-    std::size_t histogramBins = 10000;
 
     /// Convergence is polled every `batchEvents` simulated events.
     std::uint64_t batchEvents = 20000;

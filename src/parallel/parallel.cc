@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "base/contracts.hh"
@@ -15,20 +14,6 @@
 #include "stats/confidence.hh"
 
 namespace bighouse {
-
-double
-ParallelResult::modeledSpeedup(std::uint64_t serialEvents) const
-{
-    std::uint64_t slowestSlave = 0;
-    for (std::uint64_t events : slaveTotalEvents)
-        slowestSlave = std::max(slowestSlave, events);
-    const std::uint64_t parallelCritical =
-        masterCalibrationEvents + slowestSlave;
-    if (parallelCritical == 0)
-        return 0.0;
-    return static_cast<double>(serialEvents)
-           / static_cast<double>(parallelCritical);
-}
 
 SqsResult
 ParallelResult::toSqsResult() const
@@ -52,7 +37,6 @@ slaveStatusName(SlaveStatus status)
       case SlaveStatus::Ok: return "ok";
       case SlaveStatus::Failed: return "failed";
       case SlaveStatus::TimedOut: return "timed-out";
-      case SlaveStatus::Straggler: return "straggler";
     }
     return "unknown";
 }
@@ -73,9 +57,6 @@ ParallelRunner::ParallelRunner(ModelBuilder modelBuilder,
               ") exceeds the slave count (", cfg.slaves, ")");
     if (cfg.watchdogSeconds < 0.0)
         fatal("ParallelConfig watchdogSeconds must be >= 0");
-    if (cfg.stragglerFactor != 0.0 && cfg.stragglerFactor <= 1.0)
-        fatal("ParallelConfig stragglerFactor must be > 1 (or 0 to "
-              "disable straggler detection)");
     if (!cfg.checkpointPath.empty() && cfg.checkpointIntervalSeconds <= 0.0)
         fatal("ParallelConfig checkpointIntervalSeconds must be > 0");
     if (cfg.pool != nullptr && cfg.pool->workerCount() < cfg.slaves)
@@ -160,7 +141,8 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     ParallelResult result;
     result.slaveReports.resize(cfg.slaves);
 
-    // --- Phase 1: master warm-up + calibration fixes the bin schemes.
+    // The master defines the metrics and is the merge target; it runs no
+    // events. Its seed draw stays, so every slave keeps its seed stream.
     Rng seeder(rootSeed);
     SqsSimulation master(cfg.sqs, seeder.next());
     builder(master);
@@ -169,44 +151,23 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         cfg.instrument(master, 0, true);
     const std::size_t metricCount = master.stats().metricCount();
     BH_ASSERT(metricCount > 0, "parallel run with no metrics");
-    result.masterCalibrationEvents =
-        runToMeasurement(master, cfg.sqs.batchEvents, nullptr);
-    // Failure-totals aggregation: the master's calibration segment plus
-    // every slave's full run. Guarded by mtx on the slave side; the
-    // master contribution happens before any slave exists.
+    // Failure totals: the sum over every slave that ran, guarded by mtx.
     FailureTotals aggregateFailures;
-    bool failuresPresent = false;
-    if (master.failureProbe()) {
-        aggregateFailures.accumulate(master.failureProbe()());
-        failuresPresent = true;
-    }
-    if (cfg.progress) {
-        // Calibration-phase snapshot: the slaves exist only on paper yet.
-        ParallelProgressSnapshot snap;
-        snap.phase = "calibration";
-        snap.healthySlaves = cfg.slaves;
-        snap.totalEvents = result.masterCalibrationEvents;
-        snap.elapsedSeconds = secondsSince(wallStart, clock::now());
-        snap.slaves.resize(cfg.slaves);
-        cfg.progress(snap);
-    }
-
-    // The broadcast payload: one serialized scheme per metric (the same
-    // bytes a networked deployment would ship to remote slaves).
-    std::vector<std::string> broadcast;
-    broadcast.reserve(metricCount);
-    for (std::size_t i = 0; i < metricCount; ++i) {
-        broadcast.push_back(
-            master.stats().metric(i).histogram().scheme().serialize());
-    }
+    const bool failuresPresent = static_cast<bool>(master.failureProbe());
 
     // --- Resume prior: revive the checkpointed sample as a merged base
     // that seeds both the aggregate convergence check and the final
     // merge.
     const std::uint64_t epoch = from != nullptr ? from->epoch + 1 : 0;
     std::vector<Accumulator> baseAcc(metricCount);
-    std::vector<std::optional<Histogram>> baseHist(metricCount);
+    std::vector<Histogram> baseHist(metricCount);
     if (from != nullptr) {
+        if (from->identity != cfg.checkpointIdentity) {
+            fatal("checkpoint identity '", from->identity,
+                  "' differs from this run's '", cfg.checkpointIdentity,
+                  "' — resume needs the original model, config, and root "
+                  "seed");
+        }
         if (from->metricNames.size() != metricCount) {
             fatal("checkpoint has ", from->metricNames.size(),
                   " metrics but the model registers ", metricCount);
@@ -219,11 +180,6 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                       from->metricNames[i], "' but the model registers '",
                       name, "' — resume needs the original model");
             }
-            if (from->binSchemes[i] != broadcast[i]) {
-                fatal("checkpoint bin scheme for '", name,
-                      "' differs from this run's calibration — resume "
-                      "needs the original model, config, and root seed");
-            }
         }
         auto addSample = [&](const CheckpointSample& sample,
                              std::size_t i) {
@@ -232,13 +188,8 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             baseAcc[i].merge(Accumulator::restore(
                 sample.count, sample.mean, sample.variance, sample.min,
                 sample.max));
-            if (!sample.histogram.empty()) {
-                Histogram h = Histogram::deserialize(sample.histogram);
-                if (!baseHist[i].has_value())
-                    baseHist[i].emplace(std::move(h));
-                else
-                    baseHist[i]->merge(h);
-            }
+            if (!sample.histogram.empty())
+                baseHist[i].merge(Histogram::deserialize(sample.histogram));
         };
         for (std::size_t i = 0; i < from->base.size(); ++i)
             addSample(from->base[i], i);
@@ -250,10 +201,10 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         }
     }
 
-    // --- Phase 2: construct slaves with unique seeds + adopted schemes.
-    // Resumed epochs mix a per-epoch constant into every slave seed so
-    // post-resume measurement is independent of the checkpointed sample
-    // (replaying the original streams would double-count it).
+    // --- Construct slaves with unique seeds. Resumed epochs mix a
+    // per-epoch constant into every slave seed so post-resume measurement
+    // is independent of the checkpointed sample (replaying the original
+    // streams would double-count it).
     const std::uint64_t epochMix =
         epoch == 0 ? 0
                    : SplitMix64(epoch * 0x9e3779b97f4a7c15ULL).next();
@@ -267,16 +218,13 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             fatal("model builder is not deterministic: slave registered ",
                   slave->stats().metricCount(), " metrics, master ",
                   metricCount);
-        for (std::size_t i = 0; i < metricCount; ++i) {
-            slave->stats().metric(i).adoptBinScheme(
-                BinScheme::deserialize(broadcast[i]));
+        for (std::size_t i = 0; i < metricCount; ++i)
             slave->stats().metric(i).disableSelfConvergence();
-        }
         slaves.push_back(std::move(slave));
     }
 
-    // --- Phase 3: slaves measure under supervision; the master monitors
-    // aggregate size, heartbeats, stragglers, safety valves, and quorum.
+    // --- Slaves calibrate and measure under supervision; the master
+    // monitors aggregate size, heartbeats, safety valves, and quorum.
     std::atomic<bool> stop{false};
     auto abandonFlags =
         std::make_unique<std::atomic<bool>[]>(cfg.slaves);
@@ -308,8 +256,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     };
     auto healthy = [&](std::size_t s) {
         const SlaveStatus status = result.slaveReports[s].status;
-        return status == SlaveStatus::Running || status == SlaveStatus::Ok
-               || status == SlaveStatus::Straggler;
+        return status == SlaveStatus::Running || status == SlaveStatus::Ok;
     };
     auto healthyCount = [&]() {
         std::size_t count = 0;
@@ -318,7 +265,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         return count;
     };
     auto publishedEvents = [&]() {
-        std::uint64_t total = result.masterCalibrationEvents;
+        std::uint64_t total = 0;
         for (const SlaveProgress& p : progress)
             total += p.events;
         return total;
@@ -357,15 +304,14 @@ ParallelRunner::execute(std::uint64_t rootSeed,
 
     auto buildCheckpoint = [&]() {
         ParallelCheckpoint cp;
+        cp.identity = cfg.checkpointIdentity;
         cp.rootSeed = rootSeed;
         cp.epoch = epoch;
-        cp.baseEvents =
-            result.resumedBaseEvents + result.masterCalibrationEvents;
+        cp.baseEvents = result.resumedBaseEvents;
         for (std::size_t i = 0; i < metricCount; ++i) {
             cp.metricNames.push_back(
                 master.stats().metric(i).specification().name);
         }
-        cp.binSchemes = broadcast;
         if (from != nullptr) {
             for (std::size_t i = 0; i < metricCount; ++i) {
                 CheckpointSample sample;
@@ -374,8 +320,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                 sample.variance = baseAcc[i].variance();
                 sample.min = baseAcc[i].min();
                 sample.max = baseAcc[i].max();
-                if (baseHist[i].has_value())
-                    sample.histogram = baseHist[i]->serialize();
+                sample.histogram = baseHist[i].serialize();
                 cp.base.push_back(std::move(sample));
             }
         }
@@ -552,12 +497,22 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         }
     };
 
+    if (cfg.progress) {
+        // Start-of-run snapshot: every slave built, none has run yet.
+        ParallelProgressSnapshot snap;
+        snap.phase = "calibration";
+        snap.healthySlaves = cfg.slaves;
+        snap.elapsedSeconds = secondsSince(wallStart, clock::now());
+        snap.slaves.resize(cfg.slaves);
+        cfg.progress(snap);
+    }
+
     std::vector<std::thread> threads;
     threads.reserve(cfg.slaves);
     {
-        // Heartbeats start at spawn time, not wallStart: the master's
-        // calibration already consumed wall clock, and charging it to
-        // the slaves would let the watchdog fire before they ever ran.
+        // Heartbeats start at spawn time, not wallStart: building the
+        // slaves already consumed wall clock, and charging it to them
+        // would let the watchdog fire before they ever ran.
         std::lock_guard<std::mutex> lock(mtx);
         const auto spawnTime = clock::now();
         for (auto& p : progress)
@@ -573,7 +528,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     // Supervision monitor. Convergence is normally tripped by the slave
     // that publishes the sufficient sample (the condition variable only
     // has to relay it), so stop latency does not depend on this tick;
-    // the tick bounds watchdog/straggler/deadline/checkpoint latency.
+    // the tick bounds watchdog/deadline/checkpoint latency.
     {
         std::unique_lock<std::mutex> lock(mtx);
         auto lastCheckpoint = wallStart;
@@ -621,61 +576,6 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                     progress[s].histograms.assign(metricCount,
                                                   std::string());
                     progress[s].measured = false;
-                }
-            }
-            if (cfg.stragglerFactor > 1.0) {
-                // Compare measurement-phase event counts: calibration
-                // cost is common-mode, so the measurement share is the
-                // honest rate signal.
-                std::vector<std::uint64_t> measured;
-                for (std::size_t s = 0; s < cfg.slaves; ++s) {
-                    if (healthy(s) && progress[s].measured) {
-                        measured.push_back(
-                            progress[s].events
-                            - result.slaveReports[s].calibrationEvents);
-                    }
-                }
-                if (measured.size() >= 3) {
-                    std::nth_element(measured.begin(),
-                                     measured.begin()
-                                         + measured.size() / 2,
-                                     measured.end());
-                    const std::uint64_t median =
-                        measured[measured.size() / 2];
-                    // Grace: wait until the median slave has cleared a
-                    // few batches, or every fresh slave looks slow.
-                    if (median >= 4 * cfg.slaveBatchEvents) {
-                        for (std::size_t s = 0; s < cfg.slaves; ++s) {
-                            SlaveReport& report = result.slaveReports[s];
-                            // Finished calibration but lagging the
-                            // median — zero measurement batches counts
-                            // (a slave wedged at measurement start is
-                            // the canonical straggler).
-                            if (report.status != SlaveStatus::Running
-                                || report.calibrationEvents == 0)
-                                continue;
-                            const std::uint64_t mine =
-                                progress[s].events
-                                - report.calibrationEvents;
-                            const double scaled =
-                                static_cast<double>(mine)
-                                * cfg.stragglerFactor;
-                            if (scaled >= static_cast<double>(median))
-                                continue;
-                            warn("slave ", s, " is a straggler (",
-                                 mine, " measurement events vs median ",
-                                 median, ")",
-                                 cfg.abandonStragglers
-                                     ? "; abandoning it"
-                                     : "");
-                            report.status = SlaveStatus::Straggler;
-                            if (cfg.abandonStragglers) {
-                                report.abandoned = true;
-                                abandonFlags[s].store(
-                                    true, std::memory_order_relaxed);
-                            }
-                        }
-                    }
                 }
             }
             if (healthyCount() < cfg.minHealthySlaves) {
@@ -726,22 +626,22 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         }
     }
 
-    // --- Phase 4: quorum merge — checkpointed base plus every healthy
-    // slave's histograms into the master's estimate.
+    // --- Quorum merge: checkpointed base plus every healthy slave's
+    // sample into the master's (so far empty) metrics.
     for (std::size_t i = 0; i < metricCount; ++i) {
         OutputMetric& masterMetric = master.stats().metric(i);
         // Weight conservation: every accepted observation of every merged
         // contributor must land in the master's sample, exactly once.
         std::uint64_t expected = masterMetric.acceptedCount();
-        if (baseHist[i].has_value()) {
-            masterMetric.absorbSample(baseAcc[i], *baseHist[i]);
+        if (from != nullptr) {
+            masterMetric.absorbSample(baseAcc[i], baseHist[i]);
             expected += baseAcc[i].count();
         }
         for (std::size_t s = 0; s < cfg.slaves; ++s) {
             if (!healthy(s))
                 continue;
             const OutputMetric& slaveMetric = slaves[s]->stats().metric(i);
-            // A slave cancelled mid-calibration has no histogram yet.
+            // A slave cancelled mid-calibration has no sample yet.
             if (slaveMetric.phase() == Phase::Warmup
                 || slaveMetric.phase() == Phase::Calibration)
                 continue;
@@ -779,9 +679,9 @@ ParallelRunner::execute(std::uint64_t rootSeed,
 
     result.estimates = master.stats().estimates();
 
-    // Timelines of every merged contributor. All slave threads have
-    // joined (or drained from the pool), so the sims are quiescent; the
-    // lock only satisfies the helpers' contract, like the block above.
+    // Timelines of every merged slave. All slave threads have joined (or
+    // drained from the pool), so the sims are quiescent; the lock only
+    // satisfies the helpers' contract, like the block above.
     if (master.timeline() != nullptr) {
         std::lock_guard<std::mutex> lock(mtx);
         auto harvestTimeline = [](const SqsSimulation& sim,
@@ -792,8 +692,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             data.source = std::move(label);
             return data;
         };
-        result.timelines.reserve(1 + cfg.slaves);
-        result.timelines.push_back(harvestTimeline(master, "master"));
+        result.timelines.reserve(cfg.slaves);
         for (std::size_t s = 0; s < cfg.slaves; ++s) {
             if (healthy(s)) {
                 result.timelines.push_back(harvestTimeline(
@@ -806,7 +705,6 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     result.slaveTotalEvents.resize(cfg.slaves);
     if (failuresPresent)
         result.failures = aggregateFailures;
-    result.totalEvents = result.masterCalibrationEvents;
     for (std::size_t s = 0; s < cfg.slaves; ++s) {
         result.slaveCalibrationEvents[s] =
             result.slaveReports[s].calibrationEvents;

@@ -1,31 +1,31 @@
 /**
  * @file
  * Distributed (master/slave) stochastic queuing simulation — the Fig. 3
- * protocol:
+ * protocol, minus its serial phase:
  *
- *  1. the master executes just the warm-up and calibration phases and
- *     fixes the histogram bin scheme,
- *  2. the bin scheme is broadcast; each slave runs its own warm-up and
- *     calibration (own lag) with a unique random seed,
- *  3. slaves measure; the master monitors aggregate sample size and
+ *  1. each slave runs its own warm-up and calibration (own lag) with a
+ *     unique random seed, starting at t = 0,
+ *  2. slaves measure; the master monitors aggregate sample size and
  *     signals convergence when it suffices across the whole cluster,
- *  4. slave histograms are merged into a single estimate.
+ *  3. slave histograms are merged into a single estimate.
+ *
+ * In the paper the master first runs warm-up and calibration alone to
+ * fix the histogram bins and broadcasts them. The log-linear histogram
+ * (stats/histogram.hh) has data-independent bins, so that phase has no
+ * output left: the master simulation is built (it defines the metrics
+ * and is the merge target) but runs no events.
  *
  * "In a number of ways, the master-slave relationship resembles the
  * MapReduce framework" — slaves are embarrassingly parallel, sharing only
- * the stop flag and periodic sample-count snapshots.
- *
- * Here slaves are std::threads in one process; the protocol (including
- * the serialized bin-scheme broadcast) is the same one a multi-host
- * deployment would speak.
+ * the stop flag and periodic sample-count snapshots. Here slaves are
+ * std::threads in one process.
  *
  * The runtime treats slave failure as the normal case (SPECI-2's
  * design point): every slave runs under supervision — exceptions are
  * captured into a per-slave SlaveReport instead of terminating the
- * process, a watchdog abandons slaves that stop publishing progress,
- * stragglers lagging the median event count are flagged (and optionally
- * abandoned), and phase 4 merges only the healthy quorum, reporting a
- * degraded-but-valid estimate as long as `minHealthySlaves` survive.
+ * process, a watchdog abandons slaves that stop publishing progress, and
+ * step 3 merges only the healthy quorum, reporting a degraded-but-valid
+ * estimate as long as `minHealthySlaves` survive.
  * Periodic checkpoints (see ParallelCheckpoint in core/results_io.hh)
  * make an interrupted run resumable. docs/robustness.md describes the
  * supervision state machine.
@@ -58,7 +58,6 @@ enum class SlaveStatus
     Ok,        ///< finished cleanly; sample merged
     Failed,    ///< exception escaped the batch loop; sample discarded
     TimedOut,  ///< watchdog abandoned it; sample discarded
-    Straggler, ///< lagged the median event rate; sample still merged
 };
 
 /** Render a SlaveStatus as text. */
@@ -79,8 +78,9 @@ struct ParallelSlaveProgress
 /** Periodic snapshot of a whole parallel run's progress. */
 struct ParallelProgressSnapshot
 {
-    /// Phase label: "calibration" while the master runs, "measurement"
-    /// during the slave phase, "merged" on the terminal snapshot.
+    /// Phase label: "calibration" once, just before the slaves start
+    /// (every slave still calibrating, no events yet), "measurement"
+    /// while they run, "merged" on the terminal snapshot.
     std::string phase;
     bool converged = false;
     std::size_t healthySlaves = 0;
@@ -104,13 +104,6 @@ struct ParallelConfig
     /// A slave that publishes no progress for this long is marked
     /// TimedOut and abandoned; 0 disables the watchdog.
     double watchdogSeconds = 0.0;
-    /// A slave whose event count times this factor is below the median
-    /// healthy slave's is flagged a straggler; 0 disables detection.
-    /// Must be > 1 when enabled.
-    double stragglerFactor = 0.0;
-    /// Abandon flagged stragglers (their partial sample still merges —
-    /// it is statistically valid; they just stop consuming a thread).
-    bool abandonStragglers = false;
     /// Deterministic fault injection (tests / chaos soaks).
     FaultPlan faults;
 
@@ -128,6 +121,11 @@ struct ParallelConfig
     /// a final one whenever the run stops unconverged).
     std::string checkpointPath;
     double checkpointIntervalSeconds = 1.0;
+    /// Names the model and config behind the samples; written into every
+    /// checkpoint, and resume() rejects a checkpoint whose identity
+    /// differs. bighouse_run passes a hash of the resolved config,
+    /// campaigns the point key.
+    std::string checkpointIdentity;
 
     // --- observability (all optional; empty = zero overhead) ---
     /// Called once per simulation instance right after the model is
@@ -161,31 +159,31 @@ struct ParallelResult
 {
     bool converged = false;
     TerminationReason termination = TerminationReason::Converged;
-    /// The backend the master ran (slaves build the same model, so they
-    /// resolve to the same one).
+    /// The backend the model resolves to (the master and every slave
+    /// build the same model).
     SimBackend backend = SimBackend::Des;
     std::vector<MetricEstimate> estimates;  ///< merged across slaves
-    /// Summed failure totals (master + every slave that ran); present
-    /// only when the model installs a failure probe.
+    /// Summed failure totals of every slave that ran; present only when
+    /// the model installs a failure probe.
     std::optional<FailureTotals> failures;
-    /// One timeline per merged contributor (master first, then each
-    /// healthy slave as "slave-N"), all over master-aligned windows;
-    /// empty when the model attaches no Timeline. Kept as separate
-    /// tracks rather than pre-merged: per-slave series are the whole
-    /// point (straggler onset, divergent failure waves).
+    /// One timeline per healthy slave ("slave-N"), all over the same
+    /// windows; empty when the model attaches no Timeline. Kept as
+    /// separate tracks rather than pre-merged: per-slave series are the
+    /// whole point (divergent failure waves).
     std::vector<TimelineData> timelines;
 
     /// True when at least one slave's sample was excluded from the
     /// merge (the estimate is built from a reduced quorum).
     bool degraded = false;
-    /// Slaves whose samples were merged (Ok or Straggler).
+    /// Slaves whose samples were merged.
     std::size_t healthySlaves = 0;
     /// Per-slave supervision outcomes, indexed by slave.
     std::vector<SlaveReport> slaveReports;
     /// Events inherited from the checkpoint on a resumed run.
     std::uint64_t resumedBaseEvents = 0;
 
-    /// Events the master spent reaching end-of-calibration (serial part).
+    /// Always 0: the master runs no events (its histogram bins need no
+    /// calibration). Kept because the convbench benchmark reads it.
     std::uint64_t masterCalibrationEvents = 0;
     /// Per-slave events spent in warm-up + calibration (parallel but
     /// unsharded — every slave pays it; the Amdahl term of Fig. 10).
@@ -194,13 +192,6 @@ struct ParallelResult
     std::vector<std::uint64_t> slaveTotalEvents;
     std::uint64_t totalEvents = 0;
     double wallSeconds = 0.0;
-
-    /**
-     * Modeled speedup over a serial run that needed `serialEvents`
-     * events: T(k) ~ masterCal + max_s(slaveTotal_s) when event cost is
-     * uniform. Provided by the Fig. 10 bench.
-     */
-    double modeledSpeedup(std::uint64_t serialEvents) const;
 
     /**
      * The run as a serial-shaped result (campaign cache entries, the
@@ -217,7 +208,7 @@ class ParallelRunner
     ParallelRunner(ModelBuilder builder, ParallelConfig config);
 
     /**
-     * Execute the full Fig. 3 protocol.
+     * Execute the Fig. 3 protocol.
      * @param rootSeed seeds the master; slave s uses a distinct stream
      *        derived from it.
      */
@@ -227,10 +218,10 @@ class ParallelRunner
      * Resume an interrupted run from a checkpoint: the checkpointed
      * sample seeds the aggregate convergence check and the final merge,
      * so strictly fewer new measurement events are needed than a cold
-     * run. The model and the checkpoint's rootSeed must match the
-     * original run (the bin schemes are re-derived and verified);
-     * the slave count may differ. Resumed slaves draw fresh per-epoch
-     * seed streams, keeping new samples independent of the prior.
+     * run. The model, config and root seed must match the original run
+     * (the checkpoint's identity and metric names are verified); the
+     * slave count may differ. Resumed slaves draw fresh per-epoch seed
+     * streams, keeping new samples independent of the prior.
      */
     ParallelResult resume(const ParallelCheckpoint& from);
 

@@ -1,92 +1,107 @@
 #include "stats/histogram.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
-#include "base/contracts.hh"
 #include "base/logging.hh"
+#include "base/strings.hh"
 
 namespace bighouse {
 
-#ifdef BIGHOUSE_AUDIT
 namespace {
 
-/** Audit helper: bin counts + under/overflow must reconcile with total. */
+/// Serialization tag; it names the sub-bin count, so a histogram binned
+/// at another resolution never deserializes into this one.
+const std::string kFormatTag =
+    "loglinear" + std::to_string(Histogram::kSubBins);
+
+#ifdef BIGHOUSE_AUDIT
+/** Audit helper: bin counts plus zeros must reconcile with the total. */
 std::uint64_t
-reconcileTotal(const std::vector<std::uint64_t>& counts,
-               std::uint64_t underflow, std::uint64_t overflow)
+reconcileTotal(const std::vector<std::uint64_t>& counts, std::uint64_t zeros)
 {
-    std::uint64_t sum = underflow + overflow;
+    std::uint64_t sum = zeros;
     for (std::uint64_t c : counts)
         sum += c;
     return sum;
 }
-
-} // namespace
 #endif
 
-std::string
-BinScheme::serialize() const
+/** [first, last) of the nonzero counts; first == last when none. */
+std::pair<std::size_t, std::size_t>
+occupied(const std::vector<std::uint64_t>& counts)
 {
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << "binscheme " << lo << " " << hi << " " << bins;
-    return oss.str();
+    std::size_t first = 0;
+    std::size_t last = counts.size();
+    while (first < last && counts[first] == 0)
+        ++first;
+    while (last > first && counts[last - 1] == 0)
+        --last;
+    return {first, last};
 }
 
-BinScheme
-BinScheme::deserialize(const std::string& text)
+[[noreturn]] void
+malformed(const std::string& text, const std::string& why)
 {
-    std::istringstream iss(text);
-    std::string tag;
-    BinScheme scheme;
-    iss >> tag >> scheme.lo >> scheme.hi >> scheme.bins;
-    bool ok = static_cast<bool>(iss) && tag == "binscheme"
-              && scheme.bins > 0 && scheme.hi > scheme.lo
-              && std::isfinite(scheme.lo) && std::isfinite(scheme.hi);
-    if (ok) {
-        // Reject trailing garbage: a truncated or corrupted master->slave
-        // broadcast (or checkpoint line) must fail loudly, not merge a
-        // scheme that happens to have a parsable prefix.
-        iss >> std::ws;
-        ok = iss.eof();
+    fatal("malformed Histogram serialization (", why, "): '",
+          text.size() > 120 ? text.substr(0, 120) + "..." : text, "'");
+}
+
+template <typename T>
+T
+parseToken(const std::string& token, const std::string& text)
+{
+    T value{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        malformed(text, "bad number");
+    return value;
+}
+
+} // namespace
+
+void
+Histogram::addOutsideRange(std::uint64_t key)
+{
+    cover(key, key);
+    ++counts[key - firstKey];
+}
+
+void
+Histogram::cover(std::uint64_t lo, std::uint64_t hi)
+{
+    if (counts.empty()) {
+        firstKey = lo;
+        counts.assign(hi - lo + 1, 0);
+        return;
     }
-    if (!ok)
-        fatal("malformed BinScheme: '", text, "'");
-    return scheme;
+    const std::uint64_t last = firstKey + counts.size() - 1;
+    if (lo >= firstKey && hi <= last)
+        return;
+    // Pad the side that grows (up to one octave) so a stream creeping
+    // outward bin by bin does not copy the array once per bin.
+    const std::uint64_t pad =
+        std::min<std::uint64_t>(counts.size(), kSubBins);
+    const std::uint64_t newFirst =
+        lo >= firstKey ? firstKey : (lo > pad ? lo - pad : 0);
+    const std::uint64_t newLast =
+        hi <= last ? last : std::min(hi + pad, kMaxKey);
+    std::vector<std::uint64_t> grown(newLast - newFirst + 1, 0);
+    std::copy(counts.begin(), counts.end(),
+              grown.begin()
+                  + static_cast<std::ptrdiff_t>(firstKey - newFirst));
+    counts = std::move(grown);
+    firstKey = newFirst;
 }
 
-BinScheme
-suggestBinScheme(std::span<const double> calibration, std::size_t bins,
-                 double expand)
+void
+Histogram::binRange(std::size_t i, double& lo, double& hi) const
 {
-    if (calibration.empty())
-        fatal("suggestBinScheme: empty calibration sample");
-    if (bins == 0)
-        fatal("suggestBinScheme: need at least one bin");
-    const auto [minIt, maxIt] =
-        std::minmax_element(calibration.begin(), calibration.end());
-    double lo = *minIt;
-    double hi = *maxIt;
-    double spread = hi - lo;
-    if (spread <= 0.0)
-        spread = std::max(std::abs(lo), 1e-9);
-    lo = std::max(0.0, lo - expand * spread);
-    hi = hi + expand * spread;
-    return BinScheme{lo, hi, bins};
-}
-
-Histogram::Histogram(BinScheme scheme)
-    : layout(scheme),
-      width(scheme.binWidth()),
-      counts(scheme.bins, 0),
-      minValue(std::numeric_limits<double>::infinity()),
-      maxValue(-std::numeric_limits<double>::infinity())
-{
-    if (scheme.bins == 0 || scheme.hi <= scheme.lo)
-        fatal("Histogram needs bins >= 1 and hi > lo");
+    lo = std::max(edgeOf(firstKey + i), minValue);
+    hi = std::min(edgeOf(firstKey + i + 1), maxValue);
 }
 
 double
@@ -100,133 +115,74 @@ Histogram::quantile(double q) const
         return maxValue;
 
     const double target = q * static_cast<double>(total);
-    double cumulative = 0.0;
-
-    // Underflow mass: spread uniformly over [minValue, lo).
-    if (underflow > 0) {
-        const auto uf = static_cast<double>(underflow);
-        if (target <= cumulative + uf) {
-            const double frac = (target - cumulative) / uf;
-            return minValue + frac * (layout.lo - minValue);
-        }
-        cumulative += uf;
-    }
-
-    const double width = layout.binWidth();
+    double cumulative = static_cast<double>(zeros);
+    if (target <= cumulative)
+        return 0.0;
     for (std::size_t i = 0; i < counts.size(); ++i) {
         if (counts[i] == 0)
             continue;
         const auto mass = static_cast<double>(counts[i]);
         if (target <= cumulative + mass) {
-            const double frac = (target - cumulative) / mass;
-            return layout.lo + (static_cast<double>(i) + frac) * width;
+            double lo = 0.0, hi = 0.0;
+            binRange(i, lo, hi);
+            return lo + (target - cumulative) / mass * (hi - lo);
         }
         cumulative += mass;
-    }
-
-    // Overflow mass: spread uniformly over [hi, maxValue].
-    if (overflow > 0) {
-        const auto of = static_cast<double>(overflow);
-        const double frac =
-            std::min(1.0, std::max(0.0, (target - cumulative) / of));
-        return layout.hi + frac * (maxValue - layout.hi);
     }
     return maxValue;
 }
 
 double
-Histogram::approximateMean() const
-{
-    if (total == 0)
-        return 0.0;
-    double sum = 0.0;
-    const double width = layout.binWidth();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        const double mid = layout.lo + (static_cast<double>(i) + 0.5) * width;
-        sum += mid * static_cast<double>(counts[i]);
-    }
-    if (underflow > 0)
-        sum += 0.5 * (minValue + layout.lo) * static_cast<double>(underflow);
-    if (overflow > 0)
-        sum += 0.5 * (layout.hi + maxValue) * static_cast<double>(overflow);
-    return sum / static_cast<double>(total);
-}
-
-double
 Histogram::cdfAt(double x) const
 {
-    if (total == 0)
-        return 0.0;
-    if (x < minValue)
+    if (total == 0 || x < minValue)
         return 0.0;
     if (x >= maxValue)
         return 1.0;
 
-    double below = 0.0;
-    // Underflow mass: uniform over [minValue, lo), mirroring quantile().
-    if (x < layout.lo) {
-        if (underflow > 0 && layout.lo > minValue) {
-            below = static_cast<double>(underflow) * (x - minValue)
-                    / (layout.lo - minValue);
+    // Here minValue <= x < maxValue, so x >= 0 and some bin is occupied.
+    double below = static_cast<double>(zeros);
+    if (x > 0.0) {
+        const std::uint64_t key = keyOf(x);
+        const std::uint64_t end = firstKey + counts.size();
+        const std::uint64_t full =
+            std::clamp(key, firstKey, end) - firstKey;
+        for (std::uint64_t i = 0; i < full; ++i)
+            below += static_cast<double>(counts[i]);
+        if (key >= firstKey && key < end) {
+            // x lies in [lo, hi) of its bin, and hi > lo after clamping.
+            double lo = 0.0, hi = 0.0;
+            binRange(full, lo, hi);
+            below +=
+                static_cast<double>(counts[full]) * (x - lo) / (hi - lo);
         }
-        return below / static_cast<double>(total);
     }
-    below = static_cast<double>(underflow);
-    if (x >= layout.hi) {
-        // Overflow mass: uniform over [hi, maxValue].
-        for (const std::uint64_t c : counts)
-            below += static_cast<double>(c);
-        if (overflow > 0 && maxValue > layout.hi) {
-            below += static_cast<double>(overflow) * (x - layout.hi)
-                     / (maxValue - layout.hi);
-        }
-        return below / static_cast<double>(total);
-    }
-    const double width = layout.binWidth();
-    auto bin = static_cast<std::size_t>((x - layout.lo) / width);
-    if (bin >= counts.size())
-        bin = counts.size() - 1;
-    for (std::size_t i = 0; i < bin; ++i)
-        below += static_cast<double>(counts[i]);
-    const double binLo = layout.lo + static_cast<double>(bin) * width;
-    below += static_cast<double>(counts[bin]) * (x - binLo) / width;
     return below / static_cast<double>(total);
-}
-
-double
-Histogram::outOfRangeFraction() const
-{
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(underflow + overflow)
-           / static_cast<double>(total);
 }
 
 void
 Histogram::merge(const Histogram& other)
 {
-    // fatal(), not a contract panic: a scheme mismatch is a protocol
-    // error a misconfigured slave can cause, and callers/tests rely on
-    // the exit(1) user-error path.
-    if (!(layout == other.layout)) {
-        fatal("Histogram::merge: bin schemes differ (",
-              layout.serialize(), " vs ", other.layout.serialize(), ")");
-    }
+    if (other.total == 0)
+        return;
     const std::uint64_t before = total;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-        counts[i] += other.counts[i];
-    underflow += other.underflow;
-    overflow += other.overflow;
+    const auto [first, last] = occupied(other.counts);
+    if (first < last) {
+        cover(other.firstKey + first, other.firstKey + last - 1);
+        const std::uint64_t offset = other.firstKey - firstKey;
+        for (std::size_t i = first; i < last; ++i)
+            counts[offset + i] += other.counts[i];
+    }
+    zeros += other.zeros;
     total += other.total;
     minValue = std::min(minValue, other.minValue);
     maxValue = std::max(maxValue, other.maxValue);
     BH_ENSURE(total >= before && total >= other.total,
               "merged observation count wrapped: ", before, " + ",
               other.total, " -> ", total);
-    BH_ENSURE(total == 0 || minValue <= maxValue,
-              "merged extremes inverted: min=", minValue,
-              " max=", maxValue);
-    BH_AUDIT(reconcileTotal(counts, underflow, overflow) == total,
+    BH_ENSURE(minValue <= maxValue, "merged extremes inverted: min=",
+              minValue, " max=", maxValue);
+    BH_AUDIT(reconcileTotal(counts, zeros) == total,
              "bin counts do not reconcile with total after merge");
 }
 
@@ -239,33 +195,55 @@ Histogram::serialize() const
     // as zeros and restore them on load.
     const double minOut = total == 0 ? 0.0 : minValue;
     const double maxOut = total == 0 ? 0.0 : maxValue;
-    oss << layout.serialize() << " ; " << total << " " << underflow << " "
-        << overflow << " " << minOut << " " << maxOut;
-    for (std::uint64_t c : counts)
-        oss << " " << c;
+    const auto [first, last] = occupied(counts);
+    oss << kFormatTag << " " << total << " " << zeros << " " << minOut
+        << " " << maxOut << " " << (first < last ? firstKey + first : 0)
+        << " " << last - first;
+    for (std::size_t i = first; i < last; ++i)
+        oss << " " << counts[i];
     return oss.str();
 }
 
 Histogram
 Histogram::deserialize(const std::string& text)
 {
-    const auto sep = text.find(" ; ");
-    if (sep == std::string::npos)
-        fatal("malformed Histogram serialization");
-    Histogram hist(BinScheme::deserialize(text.substr(0, sep)));
-    std::istringstream iss(text.substr(sep + 3));
-    iss >> hist.total >> hist.underflow >> hist.overflow >> hist.minValue
-        >> hist.maxValue;
-    for (auto& c : hist.counts)
-        iss >> c;
-    if (!iss)
-        fatal("truncated Histogram serialization");
-    iss >> std::ws;
-    if (!iss.eof())
-        fatal("trailing garbage in Histogram serialization");
-    if (hist.total == 0) {
-        hist.minValue = std::numeric_limits<double>::infinity();
-        hist.maxValue = -std::numeric_limits<double>::infinity();
+    const std::vector<std::string> tokens = splitWhitespace(text);
+    if (tokens.size() < 7 || tokens[0] != kFormatTag)
+        malformed(text, "expected '" + kFormatTag + "' and six fields");
+    Histogram hist;
+    hist.total = parseToken<std::uint64_t>(tokens[1], text);
+    hist.zeros = parseToken<std::uint64_t>(tokens[2], text);
+    const auto minIn = parseToken<double>(tokens[3], text);
+    const auto maxIn = parseToken<double>(tokens[4], text);
+    const auto firstKey = parseToken<std::uint64_t>(tokens[5], text);
+    const auto bins = parseToken<std::uint64_t>(tokens[6], text);
+    if (tokens.size() - 7 != bins)
+        malformed(text, "bin count does not match the counts given");
+    if (!std::isfinite(minIn) || !std::isfinite(maxIn) || minIn < 0.0
+        || minIn > maxIn)
+        malformed(text, "extremes must be finite with 0 <= min <= max");
+    if (bins > 0 && (firstKey > kMaxKey || bins - 1 > kMaxKey - firstKey))
+        malformed(text, "bin keys out of range");
+
+    if (hist.zeros > hist.total)
+        malformed(text, "zeros exceed the total");
+    std::uint64_t sum = hist.zeros;
+    hist.firstKey = firstKey;
+    hist.counts.reserve(static_cast<std::size_t>(bins));
+    for (std::size_t i = 7; i < tokens.size(); ++i) {
+        const auto c = parseToken<std::uint64_t>(tokens[i], text);
+        if (c > hist.total - sum)
+            malformed(text, "counts exceed the total");
+        sum += c;
+        hist.counts.push_back(c);
+    }
+    if (sum != hist.total)
+        malformed(text, "counts do not sum to the total");
+    if (hist.total > 0) {
+        hist.minValue = minIn;
+        hist.maxValue = maxIn;
+    } else if (minIn != 0.0 || maxIn != 0.0) {
+        malformed(text, "an empty histogram has extremes");
     }
     return hist;
 }

@@ -1,148 +1,155 @@
 /**
  * @file
- * Space-efficient online quantile estimation via fixed-bin histograms,
- * after Chen & Kelton (2001): "recording and sorting the entire sample
- * sequence to determine quantiles imposes a large burden ... we use [a]
- * histogram representation of an observed variable, drastically reducing
- * memory overhead. This method requires the histogram binning parameters
- * to be determined in advance; we do so during the calibration phase."
+ * Space-efficient online quantile estimation with a log-linear histogram.
  *
- * A BinScheme is the serializable "bin structure" the master broadcasts to
- * slaves (Fig. 3); two histograms merge only when their schemes match.
+ * The paper (after Chen & Kelton 2001) represents each output metric by
+ * a fine-grained histogram instead of the raw sample. Chen & Kelton fix
+ * the bin edges from a calibration sample; here the edges depend on no
+ * data at all, as in HDR Histogram and DDSketch (Masson, Rim & Lee,
+ * VLDB 2019): a bin is the exponent of the IEEE-754 value plus its top
+ * kSubBinBits mantissa bits, so every power of two splits into kSubBins
+ * equal bins and a bin's width is at most 2^-kSubBinBits of its lower
+ * edge. No calibration sample, no layout to agree on: any two histograms
+ * merge by adding counts.
+ *
+ * Observations must be finite and >= 0 (every metric in the tree is a
+ * time, level, power reading, fraction or indicator); exact zeros get
+ * their own count, so a 0/1 indicator occupies one bin.
  */
 
 #ifndef BIGHOUSE_STATS_HISTOGRAM_HH
 #define BIGHOUSE_STATS_HISTOGRAM_HH
 
+#include <bit>
 #include <cstdint>
-#include <span>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "base/contracts.hh"
+
 namespace bighouse {
 
-/** Immutable description of a histogram's bin layout. */
-struct BinScheme
-{
-    double lo = 0.0;    ///< lower edge of the first regular bin
-    double hi = 1.0;    ///< upper edge of the last regular bin
-    std::size_t bins = 1;
-
-    double
-    binWidth() const
-    {
-        return (hi - lo) / static_cast<double>(bins);
-    }
-
-    bool operator==(const BinScheme&) const = default;
-
-    /** One-line serialization (for master -> slave broadcast). */
-    std::string serialize() const;
-
-    /** Inverse of serialize(); fatal() on malformed input. */
-    static BinScheme deserialize(const std::string& text);
-};
-
-/**
- * Derive a bin scheme from a calibration sample: the observed range is
- * expanded by `expand` on each side (relative to the spread) so that
- * steady-state observations modestly outside the calibration range still
- * land in regular bins; anything further is tracked by under/overflow
- * bins with exact extreme values.
- */
-BinScheme suggestBinScheme(std::span<const double> calibration,
-                           std::size_t bins, double expand = 0.5);
-
-/** Fixed-bin counting histogram with interpolated quantiles. */
+/** Log-linear counting histogram with interpolated quantiles. */
 class Histogram
 {
   public:
-    explicit Histogram(BinScheme scheme);
+    /// Mantissa bits below the exponent that select a sub-bin.
+    static constexpr int kSubBinBits = 8;
+    /// Bins per power of two; also the relative-width bound 1/kSubBins.
+    static constexpr std::uint64_t kSubBins = std::uint64_t{1}
+                                              << kSubBinBits;
+
+    /** An empty histogram; allocates nothing until the first add(). */
+    Histogram() = default;
 
     /**
-     * Record one observation. Inline and branch-light: this sits on the
-     * per-accepted-observation hot path of every output metric. The bin
-     * width is precomputed once at construction (same `(hi-lo)/bins`
-     * value binWidth() yields, so bin assignment is bit-identical to
-     * dividing by a freshly computed width).
+     * Record one observation. Inline: this sits on the per-accepted-
+     * observation hot path of every output metric. Bins are stored
+     * densely over the occupied key range, so the common case is one
+     * subtraction, one compare and one increment.
+     * @pre x is finite and >= 0
      */
     void
     add(double x)
     {
-        if (x < layout.lo) {
-            ++underflow;
-        } else if (x >= layout.hi) {
-            ++overflow;
-        } else {
-            auto bin = static_cast<std::size_t>((x - layout.lo) / width);
-            if (bin >= counts.size())
-                bin = counts.size() - 1;  // x just below hi with rounding
-            ++counts[bin];
-        }
+        BH_REQUIRE(x >= 0.0 && x - x == 0.0,
+                   "observation must be finite and >= 0, got ", x);
         ++total;
         if (x < minValue)
             minValue = x;
         if (x > maxValue)
             maxValue = x;
+        if (x == 0.0) {
+            ++zeros;
+            return;
+        }
+        const std::uint64_t key = keyOf(x);
+        const std::uint64_t i = key - firstKey;  // wraps below the range
+        if (i < counts.size()) [[likely]]
+            ++counts[i];
+        else
+            addOutsideRange(key);
     }
 
     /** Total recorded observations. */
     std::uint64_t count() const { return total; }
 
     /**
-     * Interpolated q-quantile (q in [0,1]). Mass in the underflow
-     * (overflow) bin is spread uniformly between the observed minimum
-     * (maximum) and the regular range.
+     * Interpolated q-quantile (q in [0,1]): zeros are a point mass at 0,
+     * and mass is spread uniformly inside each bin, whose edges are
+     * clamped to the exact observed [min, max].
      * @pre count() > 0
      */
     double quantile(double q) const;
 
-    /** Mean approximated from bin midpoints (useful for sanity checks). */
-    double approximateMean() const;
-
     /**
-     * Empirical CDF at x — the fraction of observations <= x, with mass
-     * spread uniformly within each bin (the same piecewise-uniform model
-     * quantile() inverts; underflow/overflow mass spreads between the
-     * observed extremes and the regular range). The backend-agreement
-     * tests compute Kolmogorov-Smirnov distances through this.
+     * Empirical CDF at x — the fraction of observations <= x under the
+     * same piecewise-uniform model quantile() inverts. The backend
+     * agreement tests compute Kolmogorov-Smirnov distances through this.
      * Returns 0 on an empty histogram.
      */
     double cdfAt(double x) const;
-
-    /** Fraction of observations outside the regular bins. */
-    double outOfRangeFraction() const;
-
-    /** The layout this histogram was built with. */
-    const BinScheme& scheme() const { return layout; }
 
     /** Smallest / largest recorded value. */
     double observedMin() const { return minValue; }
     double observedMax() const { return maxValue; }
 
-    /**
-     * Accumulate another histogram's counts (the Fig. 3 "merge" step).
-     * fatal() when the schemes differ: slaves must use the broadcast
-     * scheme.
-     */
+    /** Bins currently allocated (the dense key range, zeros excluded). */
+    std::size_t binCount() const { return counts.size(); }
+
+    /** Accumulate another histogram's counts (the Fig. 3 "merge" step). */
     void merge(const Histogram& other);
 
-    /** Serialize counts + scheme to one line (slave -> master). */
+    /**
+     * Serialize to one line: a format tag naming the sub-bin count, the
+     * totals and extremes, then the occupied key range's counts.
+     */
     std::string serialize() const;
 
-    /** Inverse of serialize(); fatal() on malformed input. */
+    /**
+     * Inverse of serialize(). Strict: fatal() on another tag, trailing
+     * data, non-finite or negative extremes, keys out of range, or
+     * counts that do not sum to the total.
+     */
     static Histogram deserialize(const std::string& text);
 
   private:
-    BinScheme layout;
-    /// Cached layout.binWidth(), so add() divides without recomputing it.
-    double width = 1.0;
+    /// Mantissa bits dropped from the IEEE-754 pattern to form a key.
+    static constexpr int kKeyShift = 52 - kSubBinBits;
+    /// Key of the largest finite double: the top of the key space.
+    static constexpr std::uint64_t kMaxKey =
+        std::bit_cast<std::uint64_t>(std::numeric_limits<double>::max())
+        >> kKeyShift;
+
+    /** Bin key of a positive finite value: exponent + top mantissa bits. */
+    static std::uint64_t
+    keyOf(double x)
+    {
+        return std::bit_cast<std::uint64_t>(x) >> kKeyShift;
+    }
+
+    /** Lower edge of a key's bin (the upper edge is the next key's). */
+    static double
+    edgeOf(std::uint64_t key)
+    {
+        return std::bit_cast<double>(key << kKeyShift);
+    }
+
+    /** Grow the dense range to cover `key`, then count it (cold path). */
+    void addOutsideRange(std::uint64_t key);
+    /** Grow the dense range to cover keys [lo, hi]. */
+    void cover(std::uint64_t lo, std::uint64_t hi);
+    /** Bin i's edges clamped to [minValue, maxValue]. */
+    void binRange(std::size_t i, double& lo, double& hi) const;
+
+    /// Key of counts[0]; counts[i] holds key firstKey + i.
+    std::uint64_t firstKey = 0;
     std::vector<std::uint64_t> counts;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
+    std::uint64_t zeros = 0;
     std::uint64_t total = 0;
-    double minValue = 0.0;
-    double maxValue = 0.0;
+    double minValue = std::numeric_limits<double>::infinity();
+    double maxValue = -std::numeric_limits<double>::infinity();
 };
 
 } // namespace bighouse

@@ -41,14 +41,6 @@ OutputMetric::OutputMetric(MetricSpec s)
 }
 
 void
-OutputMetric::adoptBinScheme(const BinScheme& scheme)
-{
-    BH_REQUIRE(!hist.has_value(),
-               "adoptBinScheme after calibration completed");
-    externalScheme = scheme;
-}
-
-void
 OutputMetric::recordPreMeasurement(double x)
 {
     switch (currentPhase) {
@@ -80,11 +72,6 @@ OutputMetric::completeCalibration()
         <= 1e-12 * std::max(1.0, std::abs(*maxIt))) {
         lagSpacing = 1;
         lagPassed = true;
-        const BinScheme degenerate =
-            externalScheme ? *externalScheme
-                           : suggestBinScheme(calibrationBuffer,
-                                              spec.histogramBins);
-        hist.emplace(degenerate);
         calibrationBuffer.clear();
         calibrationBuffer.shrink_to_fit();
         currentPhase = Phase::Measurement;
@@ -119,11 +106,6 @@ OutputMetric::completeCalibration()
              " calibration observations; proceeding with the largest "
              "testable lag");
     }
-    const BinScheme scheme =
-        externalScheme ? *externalScheme
-                       : suggestBinScheme(calibrationBuffer,
-                                          spec.histogramBins);
-    hist.emplace(scheme);
     calibrationBuffer.clear();
     calibrationBuffer.shrink_to_fit();
     currentPhase = Phase::Measurement;
@@ -158,13 +140,25 @@ OutputMetric::evaluateConvergence()
 }
 
 void
+OutputMetric::enterMeasurement()
+{
+    if (calibrated())
+        return;
+    calibrationBuffer.clear();
+    calibrationBuffer.shrink_to_fit();
+    currentPhase = Phase::Measurement;
+}
+
+void
 OutputMetric::absorb(const OutputMetric& other)
 {
-    BH_REQUIRE(hist.has_value() && other.hist.has_value(),
-               "absorb before calibration completed");
+    BH_REQUIRE(other.calibrated(),
+               "absorb of a metric that has not completed calibration");
+    enterMeasurement();
+    lagSpacing = std::max(lagSpacing, other.lagSpacing);
     const std::uint64_t before = accumulator.count();
     accumulator.merge(other.accumulator);
-    hist->merge(*other.hist);
+    hist.merge(other.hist);
     offered += other.offered;
     BH_ENSURE(accumulator.count() == before + other.accumulator.count(),
               "absorb lost sample weight");
@@ -174,21 +168,13 @@ void
 OutputMetric::absorbSample(const Accumulator& sample,
                            const Histogram& sampleHist)
 {
-    BH_REQUIRE(hist.has_value(),
-               "absorbSample before calibration completed");
+    enterMeasurement();
     const std::uint64_t before = accumulator.count();
     accumulator.merge(sample);
-    hist->merge(sampleHist);
+    hist.merge(sampleHist);
     offered += sample.count();
     BH_ENSURE(accumulator.count() == before + sample.count(),
               "absorbSample lost sample weight");
-}
-
-const Histogram&
-OutputMetric::histogram() const
-{
-    BH_REQUIRE(hist.has_value(), "histogram requested before calibration");
-    return *hist;
 }
 
 MetricEstimate
@@ -200,7 +186,7 @@ OutputMetric::estimate() const
     est.converged = currentPhase == Phase::Converged;
     est.accepted = accumulator.count();
     est.offered = offered;
-    est.lag = hist.has_value() ? lagSpacing : 0;
+    est.lag = calibrated() ? lagSpacing : 0;
     est.mean = accumulator.mean();
     est.stddev = accumulator.stddev();
     if (accumulator.count() > 0) {
@@ -214,18 +200,18 @@ OutputMetric::estimate() const
         est.relativeHalfWidth =
             est.mean == 0.0 ? 0.0 : ci.halfWidth / std::abs(est.mean);
     }
-    if (hist.has_value() && hist->count() > 0) {
+    if (hist.count() > 0) {
         est.quantiles.reserve(spec.quantiles.size());
-        const auto n = static_cast<double>(hist->count());
+        const auto n = static_cast<double>(hist.count());
         for (double q : spec.quantiles) {
             QuantileEstimate qe;
             qe.q = q;
-            qe.value = hist->quantile(q);
+            qe.value = hist.quantile(q);
             // Binomial order-statistic bound in probability space.
             const double delta =
                 criticalZ * std::sqrt(q * (1.0 - q) / n);
-            qe.lower = hist->quantile(std::max(0.0, q - delta));
-            qe.upper = hist->quantile(std::min(1.0, q + delta));
+            qe.lower = hist.quantile(std::max(0.0, q - delta));
+            qe.upper = hist.quantile(std::min(1.0, q + delta));
             est.quantiles.push_back(qe);
         }
     }

@@ -5,9 +5,10 @@
  * Each output metric progresses through
  *   1. Warm-up      — discard the first Nw observations (cold-start bias),
  *   2. Calibration  — buffer observations; run the runs-up test to choose
- *                     the lag spacing l and fix the histogram bin scheme,
+ *                     the lag spacing l,
  *   3. Measurement  — keep every l-th observation, feeding the accumulator
- *                     and histogram,
+ *                     and the log-linear histogram (whose bins need no
+ *                     calibration; see stats/histogram.hh),
  *   4. Convergence  — the accepted sample reaches max(Nm, Nq) (Eqs. 2-3).
  *
  * Calibration observations are used only for calibration, not estimation:
@@ -19,7 +20,6 @@
 #define BIGHOUSE_STATS_METRIC_HH
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,7 +49,6 @@ struct MetricSpec
     std::uint64_t calibrationSamples = 5000;
     ConfidenceSpec target;             ///< E and confidence level
     std::vector<double> quantiles = {0.95};
-    std::size_t histogramBins = 10000;
     std::size_t maxLag = 64;
     /// If no lag in [1, maxLag] passes the runs-up test (the buffer can
     /// only test lags up to size/minPoints), calibration keeps collecting
@@ -173,15 +172,11 @@ class OutputMetric
     /** Lag spacing chosen by calibration (1 before calibration). */
     std::size_t lag() const { return lagSpacing; }
 
-    /** Whether the runs-up test actually passed at lag(). */
-    bool lagTestPassed() const { return lagPassed; }
-
     /**
-     * Slave mode (Fig. 3): install the master's bin scheme so the local
-     * calibration only determines the lag. Must be called before
-     * calibration completes.
+     * Whether this metric's own runs-up test passed at lag(); false on a
+     * merge target that never calibrated.
      */
-    void adoptBinScheme(const BinScheme& scheme);
+    bool lagTestPassed() const { return lagPassed; }
 
     /**
      * Slave mode: strip convergence authority — the metric never
@@ -189,13 +184,19 @@ class OutputMetric
      */
     void disableSelfConvergence() { selfConvergence = false; }
 
-    /** Merge another metric's measured sample into this one (Fig. 3). */
+    /**
+     * Merge another metric's measured sample into this one (Fig. 3).
+     * A target still in warm-up or calibration (the parallel master,
+     * which runs no events) moves to Measurement, so the merged sample
+     * can converge; lag() becomes the largest lag absorbed.
+     * @pre `other` completed calibration
+     */
     void absorb(const OutputMetric& other);
 
     /**
      * Merge a raw (accumulator, histogram) sample — a checkpointed
-     * slave's contribution revived without its OutputMetric. The
-     * histogram's bin scheme must match this metric's.
+     * slave's contribution revived without its OutputMetric. Moves a
+     * target that is not yet measuring to Measurement, like absorb().
      */
     void absorbSample(const Accumulator& sample, const Histogram& hist);
 
@@ -221,8 +222,8 @@ class OutputMetric
     /** The spec this metric was created with. */
     const MetricSpec& specification() const { return spec; }
 
-    /** Measurement histogram; only valid after calibration. */
-    const Histogram& histogram() const;
+    /** Measurement histogram (empty until calibration completes). */
+    const Histogram& histogram() const { return hist; }
 
     /** Accumulator over accepted observations. */
     const Accumulator& sampleAccumulator() const { return accumulator; }
@@ -231,6 +232,15 @@ class OutputMetric
     /** Warm-up and calibration routing (cold; called until measurement). */
     void recordPreMeasurement(double x);
     void completeCalibration();
+    /** Merge-target side of absorb()/absorbSample(): start measuring. */
+    void enterMeasurement();
+    /** Calibration is done: Measurement or Converged. */
+    bool
+    calibrated() const
+    {
+        return static_cast<int>(currentPhase)
+               >= static_cast<int>(Phase::Measurement);
+    }
 
     /**
      * Fold an accepted observation into the estimate. Inline: together
@@ -242,7 +252,7 @@ class OutputMetric
     acceptObservation(double x)
     {
         accumulator.add(x);
-        hist->add(x);
+        hist.add(x);
         if (currentPhase == Phase::Converged || !selfConvergence)
             return;
         if (++sinceChecked >= spec.checkInterval) {
@@ -264,8 +274,7 @@ class OutputMetric
     std::uint64_t sinceAccepted = 0;
     std::uint64_t sinceChecked = 0;
     bool selfConvergence = true;
-    std::optional<BinScheme> externalScheme;
-    std::optional<Histogram> hist;
+    Histogram hist;
     Accumulator accumulator;
     double criticalZ;
 };

@@ -90,6 +90,13 @@ bighouse_run)
     [ -f ckpt.json ] || fail "no checkpoint written"
     must_fail --seed "$bin" short.json --slaves 2 --resume ckpt.json \
         --seed 5
+    # ...and resuming under an edited config must fail too, while the
+    # config that wrote it resumes.
+    sed 's/"accuracy": 0.001/"accuracy": 0.002/' short.json >edited.json
+    must_fail "original model, config" "$bin" edited.json --slaves 2 \
+        --resume ckpt.json
+    "$bin" short.json --slaves 2 --resume ckpt.json 2>&1 \
+        | grep -q "^resumed: " || fail "resume under the original config"
     ;;
 bh_campaign)
     "$bin" run "$campaign" --report report >/dev/null \

@@ -23,7 +23,6 @@ spec(std::string name, std::uint64_t warmup = 100)
     s.name = std::move(name);
     s.warmupSamples = warmup;
     s.calibrationSamples = 1000;
-    s.histogramBins = 200;
     s.checkInterval = 16;
     return s;
 }

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/math_utils.hh"
@@ -26,10 +27,21 @@ namespace {
 
 struct DistCase
 {
+    DistCase(std::string caseName, std::function<DistPtr()> factory,
+             double tol = 1.0)
+        : tolScale(tol), name(std::move(caseName)), make(std::move(factory))
+    {
+    }
+
+    /// Sampling tolerance multiplier for high-variance families. It is
+    /// the first member because gtest prints a case as its raw bytes and
+    /// gtest_discover_tests appends that print to each ctest name: led
+    /// by the name's string pointer, the print began with a heap address
+    /// that ASLR moves in every test discovery, so the Mixture names
+    /// changed from build to build.
+    double tolScale;
     std::string name;
     std::function<DistPtr()> make;
-    /// Sampling tolerance multiplier for high-variance families.
-    double tolScale = 1.0;
 };
 
 class DistributionProperty : public ::testing::TestWithParam<DistCase>

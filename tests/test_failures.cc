@@ -718,7 +718,7 @@ TEST(FailureExperiment, TotalsSurviveJsonRoundTrip)
 // Parallel merge: ensemble counters stay conserved
 // ---------------------------------------------------------------------
 
-TEST(ParallelFailures, MergedTotalsSumMasterAndSlaves)
+TEST(ParallelFailures, MergedTotalsSumSlaves)
 {
     auto experiment =
         std::make_shared<Experiment>(failingClusterSpec());
@@ -733,8 +733,8 @@ TEST(ParallelFailures, MergedTotalsSumMasterAndSlaves)
     ASSERT_TRUE(result.failures.has_value());
     const FailureTotals& totals = *result.failures;
 
-    // The ensemble is master + 3 slaves; a single serial run of the
-    // same model bounds each instance's contribution from below.
+    // The ensemble is the 3 slaves (the master runs no events); a single
+    // serial run of the same model bounds their sum from below.
     const SqsResult serial = Experiment(failingClusterSpec()).run(31);
     ASSERT_TRUE(serial.failures.has_value());
     EXPECT_GT(totals.counters.failuresInjected,
@@ -743,11 +743,11 @@ TEST(ParallelFailures, MergedTotalsSumMasterAndSlaves)
               serial.failures->counters.tasksCompletedOk);
 
     // Conservation survives the sum: repairs trail failures by at most
-    // the in-progress outages (4 servers per instance, 4 instances).
+    // the in-progress outages (4 servers per slave, 3 slaves).
     EXPECT_LE(totals.counters.repairsCompleted,
               totals.counters.failuresInjected);
     EXPECT_LE(totals.counters.failuresInjected,
-              totals.counters.repairsCompleted + 4 * 4);
+              totals.counters.repairsCompleted + 3 * 4);
     // And the summed time split still averages to the analytic answer.
     EXPECT_NEAR(totals.availability(), 10.0 / 12.0, 0.05);
 }

@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the OutputMetric phase machine of Fig. 2: warm-up discarding,
- * calibration products (lag + bin scheme), lag-spaced acceptance during
- * measurement, convergence, estimates, and the slave-mode hooks.
+ * the calibration product (the lag), lag-spaced acceptance during
+ * measurement, convergence, estimates, and the master/slave merge hooks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -26,7 +27,6 @@ quickSpec(std::string name = "latency")
     spec.calibrationSamples = 1000;
     spec.target = ConfidenceSpec{0.05, 0.95};
     spec.quantiles = {0.95};
-    spec.histogramBins = 500;
     spec.checkInterval = 16;
     return spec;
 }
@@ -210,15 +210,6 @@ TEST(OutputMetric, TighterAccuracyConvergesLater)
     EXPECT_GT(extraB, 5 * extraA);
 }
 
-TEST(OutputMetric, AdoptedBinSchemeIsUsed)
-{
-    const BinScheme master{0.0, 50.0, 123};
-    OutputMetric metric(quickSpec());
-    metric.adoptBinScheme(master);
-    feedIid(metric, 1100);
-    EXPECT_EQ(metric.histogram().scheme(), master);
-}
-
 TEST(OutputMetric, DisabledSelfConvergenceNeverConverges)
 {
     OutputMetric metric(quickSpec());
@@ -232,12 +223,8 @@ TEST(OutputMetric, DisabledSelfConvergenceNeverConverges)
 
 TEST(OutputMetric, AbsorbMergesSlaves)
 {
-    const BinScheme shared{0.0, 20.0, 400};
     MetricSpec spec = quickSpec();
     OutputMetric master(spec), slaveA(spec), slaveB(spec);
-    master.adoptBinScheme(shared);
-    slaveA.adoptBinScheme(shared);
-    slaveB.adoptBinScheme(shared);
     slaveA.disableSelfConvergence();
     slaveB.disableSelfConvergence();
 
@@ -251,8 +238,43 @@ TEST(OutputMetric, AbsorbMergesSlaves)
     master.absorb(slaveA);
     master.absorb(slaveB);
     EXPECT_EQ(master.acceptedCount(), combined);
+    EXPECT_EQ(master.histogram().count(), combined);
     const MetricEstimate est = master.estimate();
     EXPECT_NEAR(est.mean, 1.0, 0.1);
+}
+
+TEST(OutputMetric, MergeTargetThatNeverRecordedConverges)
+{
+    // The parallel master runs no events: its metric is still waiting for
+    // calibration when the slaves' samples arrive. Absorbing moves it to
+    // Measurement (or evaluateConvergence() could never pass) and keeps
+    // the largest absorbed lag, so the merged estimate reports one.
+    MetricSpec spec = quickSpec();
+    spec.warmupSamples = 0;
+    OutputMetric target(spec), slaveA(spec), slaveB(spec);
+    slaveA.disableSelfConvergence();
+    slaveB.disableSelfConvergence();
+    feedIid(slaveA, 5000, 41);
+    feedIid(slaveB, 5000, 42);
+    ASSERT_EQ(target.phase(), Phase::Calibration);
+    EXPECT_EQ(target.estimate().lag, 0u);
+
+    target.absorb(slaveA);
+    target.absorb(slaveB);
+    EXPECT_EQ(target.phase(), Phase::Measurement);
+    EXPECT_EQ(target.lag(), std::max(slaveA.lag(), slaveB.lag()));
+    EXPECT_TRUE(target.evaluateConvergence());
+    const MetricEstimate est = target.estimate();
+    EXPECT_TRUE(est.converged);
+    EXPECT_GE(est.lag, 1u);
+    EXPECT_EQ(est.accepted,
+              slaveA.acceptedCount() + slaveB.acceptedCount());
+
+    // A raw checkpointed sample moves a fresh target the same way.
+    OutputMetric revived(spec);
+    revived.absorbSample(slaveA.sampleAccumulator(), slaveA.histogram());
+    EXPECT_EQ(revived.phase(), Phase::Measurement);
+    EXPECT_EQ(revived.acceptedCount(), slaveA.acceptedCount());
 }
 
 TEST(OutputMetric, QuantileOnlyMetric)

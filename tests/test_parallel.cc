@@ -97,16 +97,42 @@ TEST(Parallel, PhaseAccountingPopulated)
     cfg.sqs = parallelSqs(0.1);
     ParallelRunner runner(googleBuilder(0.1), cfg);
     const ParallelResult result = runner.run(11);
-    EXPECT_GT(result.masterCalibrationEvents, 0u);
+    // No serial phase: the master runs no events, every slave calibrates
+    // itself, and the total is exactly the slaves' events.
+    EXPECT_EQ(result.masterCalibrationEvents, 0u);
     ASSERT_EQ(result.slaveCalibrationEvents.size(), 2u);
     ASSERT_EQ(result.slaveTotalEvents.size(), 2u);
+    std::uint64_t slaveSum = 0;
     for (std::size_t s = 0; s < 2; ++s) {
         EXPECT_GT(result.slaveCalibrationEvents[s], 0u);
         EXPECT_GE(result.slaveTotalEvents[s],
                   result.slaveCalibrationEvents[s]);
+        slaveSum += result.slaveTotalEvents[s];
     }
-    EXPECT_GT(result.totalEvents, result.masterCalibrationEvents);
+    EXPECT_EQ(result.totalEvents, slaveSum);
     EXPECT_GT(result.wallSeconds, 0.0);
+}
+
+TEST(Parallel, MergedEstimatesReportConvergedWithALag)
+{
+    // The master never records, so its metrics only reach Measurement by
+    // absorbing the slaves' samples; the merged estimate must then say
+    // Converged and carry the slaves' lag rather than "no lag yet".
+    ParallelConfig cfg;
+    cfg.slaves = 3;
+    cfg.sqs = parallelSqs(0.05);
+    cfg.sqs.quantiles = {0.5, 0.95};
+    ParallelRunner runner(googleBuilder(0.05), cfg);
+    const ParallelResult result = runner.run(29);
+    ASSERT_TRUE(result.converged);
+    ASSERT_FALSE(result.estimates.empty());
+    for (const MetricEstimate& est : result.estimates) {
+        EXPECT_TRUE(est.converged) << est.name;
+        EXPECT_EQ(est.phase, Phase::Converged) << est.name;
+        EXPECT_GE(est.lag, 1u) << est.name;
+        ASSERT_EQ(est.quantiles.size(), 2u) << est.name;
+        EXPECT_LE(est.quantiles[0].value, est.quantiles[1].value);
+    }
 }
 
 TEST(Parallel, ResultReportsTheBackendThatRan)
@@ -122,18 +148,6 @@ TEST(Parallel, ResultReportsTheBackendThatRan)
     EXPECT_EQ(serialShaped.backend, SimBackend::Recurrence);
     EXPECT_EQ(serialShaped.events, result.totalEvents);
     EXPECT_EQ(serialShaped.converged, result.converged);
-}
-
-TEST(Parallel, ModeledSpeedupBehavesLikeAmdahl)
-{
-    ParallelResult result;
-    result.masterCalibrationEvents = 1000;
-    result.slaveTotalEvents = {5000, 4000};
-    // Serial run needed 20000 events; critical path = 1000 + 5000.
-    EXPECT_NEAR(result.modeledSpeedup(20000), 20000.0 / 6000.0, 1e-12);
-    // Degenerate: no events.
-    ParallelResult empty;
-    EXPECT_DOUBLE_EQ(empty.modeledSpeedup(1000), 0.0);
 }
 
 TEST(Parallel, MoreSlavesMeansFewerSamplesEach)

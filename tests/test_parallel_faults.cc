@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the supervised parallel runtime: deterministic fault
- * injection, quorum merge under slave failure, watchdog and straggler
- * handling, the safety valves (maxEvents / deadline), checkpoint/resume,
- * and rejection of degenerate supervision configs.
+ * injection, quorum merge under slave failure, the watchdog, slow slaves,
+ * the safety valves (maxEvents / deadline), checkpoint/resume, and
+ * rejection of degenerate supervision configs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -232,34 +233,39 @@ TEST(ParallelFaults, HungSlaveIsTimedOutAndAbandoned)
     EXPECT_GT(result.estimates[0].accepted, 0u);
 }
 
-TEST(ParallelFaults, SlowSlaveIsFlaggedStragglerButStillMerged)
+TEST(ParallelFaults, SlowSlaveSampleStillMerges)
 {
+    // A slave that runs slower than its peers is not a fault: whatever it
+    // measured is statistically valid, so it stays in the quorum, its
+    // sample merges, and the run is not degraded.
     const double accuracy = 0.002;
     ParallelConfig cfg;
     cfg.slaves = 4;
     cfg.sqs = parallelSqs(accuracy);
     cfg.slaveBatchEvents = 10000;
-    cfg.stragglerFactor = 3.0;
-    cfg.abandonStragglers = true;
-    // The stall must dwarf a *loaded* batch time, or the victim keeps
-    // pace with the median and is never flagged (the old 30 ms stall
-    // lost that race under a parallel ctest). One second per batch means
-    // the victim publishes at most a batch or two before the healthy
-    // slaves clear the 4-batch detection grace — stalls only hit
-    // measurement batches, so calibration still finishes promptly and
-    // the victim is eligible for straggler detection from the start.
+    // Stalls hit only measurement batches, so the victim calibrates
+    // promptly and then publishes one batch per stall.
     cfg.faults.faults.push_back(
-        faultOn(0, FaultKind::Slowdown, 1, 1.0 * timeScale()));
+        faultOn(0, FaultKind::Slowdown, 1, 0.05 * timeScale()));
     const ParallelResult result =
         ParallelRunner(googleBuilder(accuracy), cfg).run(505);
 
     ASSERT_TRUE(result.converged);
-    EXPECT_EQ(result.slaveReports[0].status, SlaveStatus::Straggler);
-    EXPECT_TRUE(result.slaveReports[0].abandoned);
-    // A straggler's partial sample is statistically valid: it stays in
-    // the quorum, so the run is NOT degraded.
+    EXPECT_EQ(result.termination, TerminationReason::Converged);
+    for (const SlaveReport& report : result.slaveReports) {
+        EXPECT_EQ(report.status, SlaveStatus::Ok);
+        EXPECT_FALSE(report.abandoned);
+    }
     EXPECT_EQ(result.healthySlaves, 4u);
     EXPECT_FALSE(result.degraded);
+    // The slow slave ran fewer events than the fastest one, and its
+    // measured sample is in the merged estimate: the merged count equals
+    // the sum over all four slaves.
+    const std::uint64_t fastest = *std::max_element(
+        result.slaveTotalEvents.begin(), result.slaveTotalEvents.end());
+    EXPECT_LT(result.slaveTotalEvents[0], fastest);
+    EXPECT_GT(result.slaveTotalEvents[0],
+              result.slaveCalibrationEvents[0]);
 }
 
 TEST(ParallelFaults, MaxEventsValveTripsPromptly)
@@ -362,12 +368,6 @@ TEST(ParallelFaultsDeathTest, DegenerateSupervisionConfigs)
     badQuorum.minHealthySlaves = 3;
     EXPECT_EXIT(ParallelRunner(googleBuilder(0.1), badQuorum),
                 ::testing::ExitedWithCode(1), "minHealthySlaves");
-
-    ParallelConfig badFactor;
-    badFactor.slaves = 2;
-    badFactor.stragglerFactor = 0.5;
-    EXPECT_EXIT(ParallelRunner(googleBuilder(0.1), badFactor),
-                ::testing::ExitedWithCode(1), "stragglerFactor");
 
     FaultPlan badPlan;
     badPlan.crashProbability = 1.5;

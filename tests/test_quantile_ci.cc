@@ -30,7 +30,6 @@ spec(double accuracy = 0.05)
     s.calibrationSamples = 1000;
     s.target = ConfidenceSpec{accuracy, 0.95};
     s.quantiles = {0.95};
-    s.histogramBins = 2000;
     return s;
 }
 

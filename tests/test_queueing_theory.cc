@@ -82,7 +82,6 @@ theoryConfig()
     cfg.warmupSamples = 5000;
     cfg.calibrationSamples = 5000;
     cfg.accuracy = 0.05;
-    cfg.histogramBins = 4000;
     // Waiting time in light traffic has huge Cv (mostly zeros); cap the
     // run so a single test can't run away. Results converge well before.
     cfg.maxEvents = 40'000'000;

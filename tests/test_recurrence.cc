@@ -74,7 +74,6 @@ stationSpec(DistPtr interarrival, DistPtr service, unsigned cores,
     spec.sqs.warmupSamples = 5000;
     spec.sqs.calibrationSamples = 5000;
     spec.sqs.accuracy = 0.05;
-    spec.sqs.histogramBins = 4000;
     spec.sqs.maxEvents = 40'000'000;
     return spec;
 }

@@ -119,5 +119,48 @@ TEST(ResultsIoDeathTest, RejectsMalformedDocuments)
                 ::testing::ExitedWithCode(1), "cannot open");
 }
 
+TEST(ResultsIo, CheckpointRoundTripKeepsIdentityAndSamples)
+{
+    ParallelCheckpoint cp;
+    cp.identity = "config-0123456789abcdef";
+    cp.rootSeed = 42;
+    cp.epoch = 1;
+    cp.baseEvents = 1000;
+    cp.metricNames = {"response_time"};
+    CheckpointSample sample;
+    sample.count = 3;
+    sample.mean = 2.0;
+    sample.variance = 1.0;
+    sample.min = 1.0;
+    sample.max = 3.0;
+    sample.histogram = "loglinear256 3 0 1 3 261888 1 3";
+    cp.slaves.push_back(CheckpointSlave{500, {sample}});
+    const ParallelCheckpoint back = checkpointFromJson(checkpointToJson(cp));
+    EXPECT_EQ(back.identity, cp.identity);
+    EXPECT_EQ(back.rootSeed, 42u);
+    EXPECT_EQ(back.epoch, 1u);
+    EXPECT_EQ(back.metricNames, cp.metricNames);
+    ASSERT_EQ(back.slaves.size(), 1u);
+    EXPECT_EQ(back.slaves[0].samples[0].histogram, sample.histogram);
+    EXPECT_EQ(checkpointToJson(cp).find("format")->asString(),
+              "bighouse-checkpoint-v2");
+}
+
+TEST(ResultsIoDeathTest, RejectsVersionOneCheckpointByName)
+{
+    // v1 histograms used calibrated bins; the message names the version
+    // so the user knows why an old checkpoint cannot resume.
+    EXPECT_EXIT(checkpointFromJson(
+                    parseJson(R"({"format": "bighouse-checkpoint-v1",
+                                   "rootSeed": 1, "epoch": 0,
+                                   "baseEvents": 0, "metrics": [],
+                                   "schemes": [], "base": [],
+                                   "slaves": []})")
+                        .value),
+                ::testing::ExitedWithCode(1), "bighouse-checkpoint-v1");
+    EXPECT_EXIT(checkpointFromJson(parseJson(R"({"format": "x"})").value),
+                ::testing::ExitedWithCode(1), "not a BigHouse checkpoint");
+}
+
 } // namespace
 } // namespace bighouse

@@ -50,7 +50,6 @@ quickConfig()
     cfg.warmupSamples = 2000;
     cfg.calibrationSamples = 5000;
     cfg.accuracy = 0.05;
-    cfg.histogramBins = 4000;
     return cfg;
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "base/random.hh"
@@ -35,7 +36,13 @@ TEST(FormatTime, UnitConstantsAreConsistent)
     EXPECT_DOUBLE_EQ(kNanoSecond * 1000.0, kMicroSecond);
 }
 
-/** Property sweep: histograms over random data round-trip and merge. */
+/**
+ * Property sweep: any two histograms merge into exactly the histogram of
+ * their union. Each seed draws a random value range (a fraction of an
+ * octave up to dozens of octaves, sometimes with exact zeros) and a
+ * random scheme for splitting the stream into two halves, which travel
+ * through the wire format before they merge.
+ */
 class HistogramProperty : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -43,37 +50,35 @@ class HistogramProperty : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(HistogramProperty, SerializeMergeQuantileInvariants)
 {
     Rng rng(GetParam());
-    const std::size_t bins = 50 + rng.below(500);
-    const double lo = rng.uniform(0.0, 10.0);
-    const double hi = lo + rng.uniform(0.1, 100.0);
-    const BinScheme scheme{lo, hi, bins};
+    const double lo = std::exp2(rng.uniform(-30.0, 30.0));
+    const double octaves = rng.uniform(0.1, 40.0);
+    const double zeroShare = rng.below(2) == 0 ? 0.0 : rng.uniform(0.0, 0.5);
+    const double toA = rng.uniform(0.05, 0.95);
 
-    Histogram a(scheme), b(scheme), whole(scheme);
+    Histogram a, b, whole;
     const int n = 2000 + static_cast<int>(rng.below(8000));
     for (int i = 0; i < n; ++i) {
-        // Include deliberate out-of-range mass.
-        const double x = rng.uniform(lo - 5.0, hi + 5.0);
-        const double clipped = x < 0 ? -x : x;
-        whole.add(clipped);
-        (i % 2 == 0 ? a : b).add(clipped);
+        const double x = rng.uniform01() < zeroShare
+                             ? 0.0
+                             : lo * std::exp2(rng.uniform(0.0, octaves));
+        whole.add(x);
+        (rng.uniform01() < toA ? a : b).add(x);
     }
 
-    // Round trip both halves through the wire format, then merge.
     Histogram a2 = Histogram::deserialize(a.serialize());
     const Histogram b2 = Histogram::deserialize(b.serialize());
     a2.merge(b2);
     ASSERT_EQ(a2.count(), whole.count());
-    double previous = a2.observedMin() - 1.0;
+    EXPECT_EQ(a2.serialize(), whole.serialize());
+    double previous = a2.observedMin();
     for (double q = 0.0; q <= 1.0; q += 0.05) {
         const double merged = a2.quantile(q);
-        const double direct = whole.quantile(q);
-        ASSERT_DOUBLE_EQ(merged, direct) << "q=" << q;
+        ASSERT_EQ(merged, whole.quantile(q)) << "q=" << q;
         ASSERT_GE(merged, previous);  // monotone
         previous = merged;
     }
-    EXPECT_DOUBLE_EQ(a2.observedMin(), whole.observedMin());
-    EXPECT_DOUBLE_EQ(a2.observedMax(), whole.observedMax());
-    EXPECT_DOUBLE_EQ(a2.outOfRangeFraction(), whole.outOfRangeFraction());
+    EXPECT_EQ(a2.observedMin(), whole.observedMin());
+    EXPECT_EQ(a2.observedMax(), whole.observedMax());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSchemes, HistogramProperty,

@@ -48,6 +48,7 @@
 
 #include "base/build_info.hh"
 #include "base/logging.hh"
+#include "base/strings.hh"
 #include "config/config.hh"
 #include "core/experiment.hh"
 #include "core/replications.hh"
@@ -365,6 +366,9 @@ main(int argc, char** argv)
     parallel.watchdogSeconds = watchdogSeconds;
     if (checkpointPath != nullptr)
         parallel.checkpointPath = checkpointPath;
+    // A checkpoint resumes only under the config that wrote it.
+    parallel.checkpointIdentity =
+        "config-" + hashHex(fnv1a64(config.root().dump()));
 
     const auto trackLabel = [](std::size_t index, bool isMaster) {
         return isMaster ? std::string("master")
