@@ -282,7 +282,7 @@ runMicroStats(bool quick)
         metric.record(rng.exponential(1.0));
     result.wallSeconds = watch.seconds();
     result.units = observations;
-    result.checksum = metric.sampleAccumulator().mean();
+    result.checksum = metric.sample().accumulator.mean();
     result.extra["accepted"] =
         JsonValue(static_cast<double>(metric.acceptedCount()));
     return result;

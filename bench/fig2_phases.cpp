@@ -80,7 +80,7 @@ main()
                 metric.lag());
     std::printf("  histogram: %zu log-linear bins allocated after "
                 "measurement (edges fixed in advance, not calibrated)\n\n",
-                metric.histogram().binCount());
+                metric.sample().histogram.binCount());
     std::printf("%s\n", stats.report().c_str());
     std::printf("Reading: all %llu warm-up observations were discarded; "
                 "calibration started from the paper's 5000-observation "
@@ -88,6 +88,7 @@ main()
                 "measurement then kept every l-th observation until "
                 "N >= max(Nm, Nq) = %llu.\n",
                 static_cast<unsigned long long>(config.warmupSamples),
-                static_cast<unsigned long long>(metric.requiredSamples()));
+                static_cast<unsigned long long>(
+                    metric.requiredSamples(metric.sample().accumulator)));
     return 0;
 }

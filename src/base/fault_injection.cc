@@ -1,10 +1,10 @@
 #include "base/fault_injection.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
 #include "base/logging.hh"
-#include "base/random.hh"
 
 namespace bighouse {
 
@@ -20,55 +20,12 @@ faultKindName(FaultKind kind)
     return "unknown";
 }
 
-bool
-FaultPlan::enabled() const
-{
-    return !faults.empty() || crashProbability > 0.0
-           || hangProbability > 0.0 || slowdownProbability > 0.0;
-}
-
 std::vector<FaultSpec>
-FaultPlan::resolve(std::size_t slaves, std::uint64_t seed) const
+FaultPlan::resolve(std::size_t slaves) const
 {
-    const double pSum =
-        crashProbability + hangProbability + slowdownProbability;
-    if (crashProbability < 0.0 || hangProbability < 0.0
-        || slowdownProbability < 0.0 || pSum > 1.0) {
-        fatal("FaultPlan probabilities must be >= 0 and sum to <= 1 "
-              "(got crash=", crashProbability, " hang=", hangProbability,
-              " slowdown=", slowdownProbability, ")");
-    }
-
     std::vector<FaultSpec> resolved(slaves);
     for (std::size_t s = 0; s < slaves; ++s)
         resolved[s].slave = s;
-
-    if (pSum > 0.0) {
-        SplitMix64 stream(seed);
-        for (std::size_t s = 0; s < slaves; ++s) {
-            // Two independent draws per slave: kind selector, trigger.
-            const double u = static_cast<double>(stream.next() >> 11)
-                             * 0x1.0p-53;
-            const std::uint64_t trigger =
-                meanTriggerEvents / 2
-                + stream.next() % (std::max<std::uint64_t>(
-                      1, meanTriggerEvents));
-            FaultKind kind = FaultKind::None;
-            if (u < crashProbability)
-                kind = FaultKind::Crash;
-            else if (u < crashProbability + hangProbability)
-                kind = FaultKind::Hang;
-            else if (u < pSum)
-                kind = FaultKind::Slowdown;
-            if (kind == FaultKind::None)
-                continue;
-            resolved[s].kind = kind;
-            resolved[s].afterEvents = std::max<std::uint64_t>(1, trigger);
-            resolved[s].stallSeconds = slowdownStallSeconds;
-        }
-    }
-
-    // Explicit entries override the drawn schedule for their victim.
     for (const FaultSpec& spec : faults) {
         if (spec.slave >= slaves)
             continue;
@@ -79,9 +36,8 @@ FaultPlan::resolve(std::size_t slaves, std::uint64_t seed) const
     return resolved;
 }
 
-FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t slaves,
-                             std::uint64_t seed)
-    : schedule(plan.resolve(slaves, seed))
+FaultInjector::FaultInjector(const FaultPlan& plan, std::size_t slaves)
+    : schedule(plan.resolve(slaves))
 {
 }
 

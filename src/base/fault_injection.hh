@@ -5,10 +5,10 @@
  * SPECI-2's lesson for cloud-scale simulators is that failure is the
  * normal case: a supervised runtime is only trustworthy if its failure
  * paths are exercised as routinely as its happy path. A FaultPlan
- * describes *which* slaves misbehave and *how* (crash, hang, slowdown);
- * because every choice is derived from a seed through SplitMix64, a
- * faulty run is exactly reproducible — the same seed injects the same
- * faults at the same event counts, so supervision bugs can be replayed.
+ * names *which* slaves misbehave, *how* (crash, hang, slowdown) and
+ * *when* (an event count), so a faulty run is exactly reproducible: the
+ * same plan injects the same faults at the same event counts, and
+ * supervision bugs can be replayed.
  *
  * The injector is driven from the slave batch loop: the runner calls
  * atBatchBoundary() between batches, and the injector either returns
@@ -52,37 +52,18 @@ struct FaultSpec
     double stallSeconds = 0.0;
 };
 
-/**
- * Description of the faults a run should suffer. Two layers:
- *  - `faults` lists explicit, targeted injections (tests);
- *  - the probability knobs draw one fault per slave at resolve() time
- *    (chaos-style soak runs), deterministically from the seed.
- */
+/** The faults a run should suffer: explicit, targeted injections. */
 struct FaultPlan
 {
     std::vector<FaultSpec> faults;
 
-    /// Per-slave probability of drawing each fault kind (sum <= 1).
-    double crashProbability = 0.0;
-    double hangProbability = 0.0;
-    double slowdownProbability = 0.0;
-    /// Drawn triggers are uniform in [mean/2, 3*mean/2].
-    std::uint64_t meanTriggerEvents = 200000;
-    /// Stall per batch applied to drawn slowdowns.
-    double slowdownStallSeconds = 2e-3;
-
-    /** True when any fault could be injected. */
-    bool enabled() const;
-
     /**
      * Bind the plan to a cluster: one resolved FaultSpec per slave
-     * (kind None when unaffected). Probabilistic draws use SplitMix64
-     * streams from `seed`; explicit entries override draws for their
-     * victim. Entries naming slaves >= `slaves` are ignored (a plan can
+     * (kind None when unaffected; a later entry for the same victim
+     * wins). Entries naming slaves >= `slaves` are ignored (a plan can
      * be written once and reused across cluster sizes).
      */
-    std::vector<FaultSpec> resolve(std::size_t slaves,
-                                   std::uint64_t seed) const;
+    std::vector<FaultSpec> resolve(std::size_t slaves) const;
 };
 
 /** Thrown out of a victim's batch loop by an injected crash. */
@@ -110,8 +91,7 @@ class FaultInjector
     /** An injector with no faults (the common case). */
     FaultInjector() = default;
 
-    FaultInjector(const FaultPlan& plan, std::size_t slaves,
-                  std::uint64_t seed);
+    FaultInjector(const FaultPlan& plan, std::size_t slaves);
 
     /**
      * Hook for slave `slave` at a batch boundary, having executed

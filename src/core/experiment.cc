@@ -751,8 +751,7 @@ Experiment::specFromConfig(const Config& config, bool strict)
             fatal("config key 'timeline' must be an object");
         if (strict) {
             static const std::vector<std::string_view> timelineKeys = {
-                "window",       "maxWindows", "queueDepth", "busyCores",
-                "availability", "dispatch",   "retries",
+                "window", "maxWindows",
             };
             rejectUnknownKeys(*node, timelineKeys, "timeline block");
         }
@@ -764,12 +763,6 @@ Experiment::specFromConfig(const Config& config, bool strict)
             fatal("timeline.window must be > 0, got ", timeline.window);
         if (timeline.maxWindows == 0)
             fatal("timeline.maxWindows must be >= 1");
-        timeline.queueDepth = config.getBool("timeline.queueDepth", true);
-        timeline.busyCores = config.getBool("timeline.busyCores", true);
-        timeline.availability =
-            config.getBool("timeline.availability", true);
-        timeline.dispatch = config.getBool("timeline.dispatch", true);
-        timeline.retries = config.getBool("timeline.retries", true);
         spec.timeline = timeline;
     }
 

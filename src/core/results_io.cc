@@ -249,36 +249,24 @@ readResult(const std::string& path)
 
 namespace {
 
-constexpr const char* kCheckpointFormat = "bighouse-checkpoint-v2";
+constexpr const char* kCheckpointFormat = "bighouse-checkpoint-v3";
 
 JsonValue
-sampleToJson(const CheckpointSample& sample)
+checkpointMetricToJson(const std::string& name, const MetricSample& sample)
 {
+    const Accumulator& acc = sample.accumulator;
+    // JSON has no infinity: an empty sample's extremes are written as 0
+    // and never read back (Accumulator::restore ignores them).
+    const bool empty = acc.count() == 0;
     JsonValue::Object obj;
-    obj.emplace("count", JsonValue(static_cast<double>(sample.count)));
-    obj.emplace("mean", JsonValue(sample.mean));
-    obj.emplace("variance", JsonValue(sample.variance));
-    obj.emplace("min", JsonValue(sample.min));
-    obj.emplace("max", JsonValue(sample.max));
-    obj.emplace("histogram", JsonValue(sample.histogram));
+    obj.emplace("name", JsonValue(name));
+    obj.emplace("count", JsonValue(static_cast<double>(acc.count())));
+    obj.emplace("mean", JsonValue(acc.mean()));
+    obj.emplace("variance", JsonValue(acc.variance()));
+    obj.emplace("min", JsonValue(empty ? 0.0 : acc.min()));
+    obj.emplace("max", JsonValue(empty ? 0.0 : acc.max()));
+    obj.emplace("histogram", JsonValue(sample.histogram.serialize()));
     return JsonValue(std::move(obj));
-}
-
-CheckpointSample
-sampleFromJson(const JsonValue& json)
-{
-    CheckpointSample sample;
-    sample.count =
-        static_cast<std::uint64_t>(requireNumber(json, "count"));
-    sample.mean = requireNumber(json, "mean");
-    sample.variance = requireNumber(json, "variance");
-    sample.min = requireNumber(json, "min");
-    sample.max = requireNumber(json, "max");
-    const JsonValue* hist = json.find("histogram");
-    if (hist == nullptr || !hist->isString())
-        fatal("checkpoint sample missing 'histogram'");
-    sample.histogram = hist->asString();
-    return sample;
 }
 
 const JsonValue::Array&
@@ -295,41 +283,26 @@ requireArray(const JsonValue& json, const char* key)
 JsonValue
 checkpointToJson(const ParallelCheckpoint& checkpoint)
 {
+    BH_REQUIRE(checkpoint.samples.size() == checkpoint.metricNames.size(),
+               "checkpoint has ", checkpoint.samples.size(),
+               " samples for ", checkpoint.metricNames.size(), " metrics");
     JsonValue::Object obj;
     obj.emplace("format", JsonValue(std::string(kCheckpointFormat)));
     obj.emplace("identity", JsonValue(checkpoint.identity));
     obj.emplace("rootSeed",
                 JsonValue(static_cast<double>(checkpoint.rootSeed)));
     obj.emplace("epoch", JsonValue(static_cast<double>(checkpoint.epoch)));
-    obj.emplace("baseEvents",
-                JsonValue(static_cast<double>(checkpoint.baseEvents)));
-    JsonValue::Array names;
-    for (const std::string& name : checkpoint.metricNames)
-        names.push_back(JsonValue(name));
-    obj.emplace("metrics", JsonValue(std::move(names)));
-    JsonValue::Array base;
-    for (const CheckpointSample& sample : checkpoint.base)
-        base.push_back(sampleToJson(sample));
-    obj.emplace("base", JsonValue(std::move(base)));
-    JsonValue::Array slaves;
+    obj.emplace("events",
+                JsonValue(static_cast<double>(checkpoint.events)));
+    JsonValue::Array metrics;
     // reserve() also sidesteps a GCC 12 -Wmaybe-uninitialized false
     // positive in std::variant's move-assign during vector growth.
-    slaves.reserve(checkpoint.slaves.size());
-    for (const CheckpointSlave& slave : checkpoint.slaves) {
-        JsonValue::Object entry;
-        entry.emplace("events",
-                      JsonValue(static_cast<double>(slave.events)));
-        JsonValue::Array samples;
-        samples.reserve(slave.samples.size());
-        for (const CheckpointSample& sample : slave.samples)
-            samples.push_back(sampleToJson(sample));
-        entry.emplace("samples", JsonValue(std::move(samples)));
-        // emplace_back(Object&&) rather than push_back(JsonValue(...)):
-        // the extra variant move trips a GCC 12 -Wmaybe-uninitialized
-        // false positive under BIGHOUSE_STRICT.
-        slaves.emplace_back(std::move(entry));
+    metrics.reserve(checkpoint.samples.size());
+    for (std::size_t i = 0; i < checkpoint.samples.size(); ++i) {
+        metrics.push_back(checkpointMetricToJson(checkpoint.metricNames[i],
+                                                 checkpoint.samples[i]));
     }
-    obj.emplace("slaves", JsonValue(std::move(slaves)));
+    obj.emplace("metrics", JsonValue(std::move(metrics)));
     return JsonValue(std::move(obj));
 }
 
@@ -342,7 +315,8 @@ checkpointFromJson(const JsonValue& json)
         fatal("not a BigHouse checkpoint (missing/unknown 'format')");
     }
     if (format->asString() != kCheckpointFormat) {
-        // v1 stored histograms over calibrated bins that no longer exist.
+        // v1 stored histograms over calibrated bins that no longer
+        // exist; v2 stored per-slave samples instead of the merged one.
         fatal("checkpoint format '", format->asString(),
               "' is not supported (this build reads '", kCheckpointFormat,
               "'); start the run afresh");
@@ -356,35 +330,28 @@ checkpointFromJson(const JsonValue& json)
         static_cast<std::uint64_t>(requireNumber(json, "rootSeed"));
     checkpoint.epoch =
         static_cast<std::uint64_t>(requireNumber(json, "epoch"));
-    checkpoint.baseEvents =
-        static_cast<std::uint64_t>(requireNumber(json, "baseEvents"));
-    for (const JsonValue& name : requireArray(json, "metrics")) {
-        if (!name.isString())
-            fatal("checkpoint 'metrics' entries must be strings");
-        checkpoint.metricNames.push_back(name.asString());
-    }
-    const JsonValue* base = json.find("base");
-    if (base != nullptr && base->isArray()) {
-        for (const JsonValue& sample : base->asArray())
-            checkpoint.base.push_back(sampleFromJson(sample));
-    }
-    for (const JsonValue& entry : requireArray(json, "slaves")) {
-        CheckpointSlave slave;
-        slave.events =
-            static_cast<std::uint64_t>(requireNumber(entry, "events"));
-        for (const JsonValue& sample : requireArray(entry, "samples"))
-            slave.samples.push_back(sampleFromJson(sample));
-        if (slave.samples.size() != checkpoint.metricNames.size()) {
-            fatal("checkpoint slave has ", slave.samples.size(),
-                  " samples for ", checkpoint.metricNames.size(),
-                  " metrics");
+    checkpoint.events =
+        static_cast<std::uint64_t>(requireNumber(json, "events"));
+    for (const JsonValue& entry : requireArray(json, "metrics")) {
+        const JsonValue* name = entry.find("name");
+        const JsonValue* hist = entry.find("histogram");
+        if (name == nullptr || !name->isString() || hist == nullptr
+            || !hist->isString()) {
+            fatal("checkpoint metric needs 'name' and 'histogram' strings");
         }
-        checkpoint.slaves.push_back(std::move(slave));
-    }
-    if (!checkpoint.base.empty()
-        && checkpoint.base.size() != checkpoint.metricNames.size()) {
-        fatal("checkpoint base has ", checkpoint.base.size(),
-              " samples for ", checkpoint.metricNames.size(), " metrics");
+        MetricSample sample;
+        sample.accumulator = Accumulator::restore(
+            static_cast<std::uint64_t>(requireNumber(entry, "count")),
+            requireNumber(entry, "mean"), requireNumber(entry, "variance"),
+            requireNumber(entry, "min"), requireNumber(entry, "max"));
+        sample.histogram = Histogram::deserialize(hist->asString());
+        if (sample.histogram.count() != sample.accumulator.count()) {
+            fatal("checkpoint metric '", name->asString(), "' has ",
+                  sample.accumulator.count(), " observations but its "
+                  "histogram holds ", sample.histogram.count());
+        }
+        checkpoint.metricNames.push_back(name->asString());
+        checkpoint.samples.push_back(std::move(sample));
     }
     return checkpoint;
 }

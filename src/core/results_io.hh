@@ -5,8 +5,8 @@
  * converged estimates without parsing console tables.
  *
  * Also defines the parallel-run checkpoint format: a periodic snapshot
- * of every healthy slave's measured sample (accumulator moments plus
- * serialized histogram) that lets an interrupted master/slave run resume
+ * of the run's merged sample (accumulator moments plus serialized
+ * histogram per metric) that lets an interrupted master/slave run resume
  * without discarding the statistical work already paid for. See
  * docs/robustness.md for the schema.
  */
@@ -22,6 +22,7 @@
 
 #include "config/json.hh"
 #include "core/sqs.hh"
+#include "stats/metric.hh"
 
 namespace bighouse {
 
@@ -41,30 +42,11 @@ SqsResult readResult(const std::string& path);
 // Parallel checkpoint format
 // ---------------------------------------------------------------------
 
-/** One metric's measured sample as checkpointed for one contributor. */
-struct CheckpointSample
-{
-    std::uint64_t count = 0;  ///< accepted observations
-    double mean = 0.0;
-    double variance = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::string histogram;    ///< Histogram::serialize()
-};
-
-/** One slave's checkpointed contribution. */
-struct CheckpointSlave
-{
-    std::uint64_t events = 0;  ///< events the slave had executed
-    std::vector<CheckpointSample> samples;  ///< one per metric, in id order
-};
-
 /**
- * A resumable snapshot of a parallel run ("bighouse-checkpoint-v2").
- * `base` carries the merged sample inherited from earlier epochs (empty
- * on a first-generation checkpoint); `slaves` carries the current
- * epoch's per-slave samples. Resuming merges both into the new run's
- * prior.
+ * A resumable snapshot of a parallel run ("bighouse-checkpoint-v3"): one
+ * merged sample per metric (the resume prior plus every healthy slave's
+ * contribution so far) and the events behind it. Resuming seeds the new
+ * run's merge with these samples.
  */
 struct ParallelCheckpoint
 {
@@ -77,11 +59,11 @@ struct ParallelCheckpoint
     /// slaves draw distinct seed streams so resumed measurement is
     /// independent of the checkpointed sample.
     std::uint64_t epoch = 0;
-    /// Events paid by earlier epochs (accounting only).
-    std::uint64_t baseEvents = 0;
+    /// Events that produced the samples, over every epoch (accounting
+    /// only).
+    std::uint64_t events = 0;
     std::vector<std::string> metricNames;
-    std::vector<CheckpointSample> base;   ///< merged prior sample (may be empty)
-    std::vector<CheckpointSlave> slaves;
+    std::vector<MetricSample> samples;  ///< one per metric, in id order
 };
 
 /** Full-fidelity JSON rendering of a checkpoint. */

@@ -145,19 +145,16 @@ Timeline::harvest(Time now) const
         addSamples("wait_time", waitSampler);
     } else {
         if (!perServer.empty()) {
-            if (spec.queueDepth)
-                addGauge("queue_depth", queueGauge);
-            if (spec.busyCores)
-                addGauge("busy_cores", busyGauge);
-            if (spec.availability)
-                addGauge("servers_up", upGauge);
+            addGauge("queue_depth", queueGauge);
+            addGauge("busy_cores", busyGauge);
+            addGauge("servers_up", upGauge);
         }
-        if (balancerWired && spec.dispatch) {
+        if (balancerWired) {
             addCounter("dispatches", dispatches);
             addCounter("ejections", ejections);
             addCounter("readmissions", readmissions);
         }
-        if (retryWired && spec.retries) {
+        if (retryWired) {
             addGauge("retry_inflight", retryGauge);
             addCounter("tasks_lost", tasksLost);
             addCounter("tasks_ok", tasksOk);

@@ -58,11 +58,6 @@ struct TimelineSpec
     /// the remainder and the output is flagged truncated, so a tiny
     /// width on a week-long simulation cannot exhaust memory.
     std::uint64_t maxWindows = 65536;
-    bool queueDepth = true;     ///< gauge: queued tasks, cluster-wide
-    bool busyCores = true;      ///< gauge: busy cores, cluster-wide
-    bool availability = true;   ///< gauge: servers currently up
-    bool dispatch = true;       ///< counters: dispatches/ejections/readmissions
-    bool retries = true;        ///< retry occupancy gauge + outcome counters
 };
 
 /** One exported track: a window-indexed series. */

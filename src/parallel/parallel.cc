@@ -1,17 +1,15 @@
 #include "parallel/parallel.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
 
 #include "base/contracts.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
-#include "stats/confidence.hh"
 
 namespace bighouse {
 
@@ -104,15 +102,18 @@ runToMeasurement(SqsSimulation& sim, std::uint64_t batch,
     }
 }
 
-/** Published per-slave progress snapshot. */
+/**
+ * Published per-slave progress snapshot. Readers skip unhealthy slaves:
+ * a slave that failed or was abandoned cannot vouch for its snapshot.
+ */
 struct SlaveProgress
 {
-    std::vector<Accumulator> perMetric;
-    /// Serialized measurement histograms (only while checkpointing).
-    std::vector<std::string> histograms;
+    /// Per metric, empty until the first measurement batch: the
+    /// accumulator, plus the histogram while checkpointing (only a
+    /// checkpoint reads it).
+    std::vector<MetricSample> samples;
     std::uint64_t events = 0;  ///< calibration + measurement, published
     std::chrono::steady_clock::time_point lastBeat;
-    bool measured = false;  ///< published at least one measurement batch
 };
 
 } // namespace
@@ -155,12 +156,10 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     FailureTotals aggregateFailures;
     const bool failuresPresent = static_cast<bool>(master.failureProbe());
 
-    // --- Resume prior: revive the checkpointed sample as a merged base
-    // that seeds both the aggregate convergence check and the final
-    // merge.
+    // --- Resume prior: the checkpoint's merged sample seeds both the
+    // aggregate convergence check and the final merge.
     const std::uint64_t epoch = from != nullptr ? from->epoch + 1 : 0;
-    std::vector<Accumulator> baseAcc(metricCount);
-    std::vector<Histogram> baseHist(metricCount);
+    std::vector<MetricSample> prior(metricCount);
     if (from != nullptr) {
         if (from->identity != cfg.checkpointIdentity) {
             fatal("checkpoint identity '", from->identity,
@@ -168,8 +167,10 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                   "' — resume needs the original model, config, and root "
                   "seed");
         }
-        if (from->metricNames.size() != metricCount) {
-            fatal("checkpoint has ", from->metricNames.size(),
+        if (from->metricNames.size() != metricCount
+            || from->samples.size() != metricCount) {
+            fatal("checkpoint has ", from->samples.size(), " samples of ",
+                  from->metricNames.size(),
                   " metrics but the model registers ", metricCount);
         }
         for (std::size_t i = 0; i < metricCount; ++i) {
@@ -181,24 +182,8 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                       name, "' — resume needs the original model");
             }
         }
-        auto addSample = [&](const CheckpointSample& sample,
-                             std::size_t i) {
-            if (sample.count == 0 && sample.histogram.empty())
-                return;
-            baseAcc[i].merge(Accumulator::restore(
-                sample.count, sample.mean, sample.variance, sample.min,
-                sample.max));
-            if (!sample.histogram.empty())
-                baseHist[i].merge(Histogram::deserialize(sample.histogram));
-        };
-        for (std::size_t i = 0; i < from->base.size(); ++i)
-            addSample(from->base[i], i);
-        result.resumedBaseEvents = from->baseEvents;
-        for (const CheckpointSlave& slave : from->slaves) {
-            result.resumedBaseEvents += slave.events;
-            for (std::size_t i = 0; i < slave.samples.size(); ++i)
-                addSample(slave.samples[i], i);
-        }
+        prior = from->samples;
+        result.resumedBaseEvents = from->events;
     }
 
     // --- Construct slaves with unique seeds. Resumed epochs mix a
@@ -232,18 +217,12 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     std::condition_variable progressCv;
     bool reasonSet = false;  // guarded by mtx
     TerminationReason reason = TerminationReason::Converged;
+    std::size_t activeSlaves = cfg.slaves;  // guarded by mtx
     std::vector<SlaveProgress> progress(cfg.slaves);
-    for (auto& p : progress) {
-        p.perMetric.resize(metricCount);
-        p.histograms.resize(metricCount);
-        p.lastBeat = wallStart;
-    }
+    for (auto& p : progress)
+        p.samples.resize(metricCount);
     const bool checkpointing = !cfg.checkpointPath.empty();
-    // Faults draw from their own stream so injected runs keep the same
-    // slave seeds as clean ones (reproducibility of the healthy part).
-    FaultInjector injector(cfg.faults, cfg.slaves,
-                           SplitMix64(rootSeed ^ 0xfa171f17ec7edULL)
-                               .next());
+    FaultInjector injector(cfg.faults, cfg.slaves);
 
     // All of the following helpers run under mtx.
     auto trip = [&](TerminationReason r) {
@@ -271,84 +250,55 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         return total;
     };
 
-    // Aggregate-convergence predicate (Eqs. 2-3 over the merged sample,
-    // widened to the *surviving* slaves plus the checkpointed base).
+    // Aggregate-convergence predicate: each metric's own Eqs. 2-3 over
+    // the merged sample of the resume prior and the *surviving* slaves.
     // Slaves run it right after publishing a snapshot so the cluster
     // stops within one batch of sufficiency; the monitor below is only
     // a liveness fallback.
-    const double z = ConfidenceSpec{cfg.sqs.accuracy, cfg.sqs.confidence}
-                         .critical();
     auto aggregateSatisfied = [&]() {
         for (std::size_t i = 0; i < metricCount; ++i) {
-            Accumulator merged = baseAcc[i];
+            Accumulator merged = prior[i].accumulator;
             for (std::size_t s = 0; s < cfg.slaves; ++s) {
                 if (healthy(s))
-                    merged.merge(progress[s].perMetric[i]);
+                    merged.merge(progress[s].samples[i].accumulator);
             }
-            if (merged.count() == 0)
-                return false;
-            const MetricSpec& spec =
-                master.stats().metric(i).specification();
-            std::uint64_t required = requiredSamplesMean(
-                z, merged.mean(), merged.stddev(), spec.target.accuracy);
-            for (double q : spec.quantiles) {
-                required = std::max(
-                    required,
-                    requiredSamplesQuantile(z, q, spec.target.accuracy));
-            }
-            if (merged.count() < required)
+            if (merged.count() == 0
+                || merged.count()
+                       < master.stats().metric(i).requiredSamples(merged))
                 return false;
         }
         return true;
     };
 
-    auto buildCheckpoint = [&]() {
+    // A checkpoint is the run's merged sample so far: `samples` per
+    // metric, produced by `events` events over every epoch.
+    auto checkpointOf = [&](std::vector<MetricSample> samples,
+                            std::uint64_t events) {
         ParallelCheckpoint cp;
         cp.identity = cfg.checkpointIdentity;
         cp.rootSeed = rootSeed;
         cp.epoch = epoch;
-        cp.baseEvents = result.resumedBaseEvents;
+        cp.events = events;
         for (std::size_t i = 0; i < metricCount; ++i) {
             cp.metricNames.push_back(
                 master.stats().metric(i).specification().name);
         }
-        if (from != nullptr) {
-            for (std::size_t i = 0; i < metricCount; ++i) {
-                CheckpointSample sample;
-                sample.count = baseAcc[i].count();
-                sample.mean = baseAcc[i].mean();
-                sample.variance = baseAcc[i].variance();
-                sample.min = baseAcc[i].min();
-                sample.max = baseAcc[i].max();
-                sample.histogram = baseHist[i].serialize();
-                cp.base.push_back(std::move(sample));
-            }
-        }
-        for (std::size_t s = 0; s < cfg.slaves; ++s) {
-            if (!healthy(s) || !progress[s].measured)
-                continue;
-            CheckpointSlave slave;
-            slave.events = progress[s].events;
-            bool complete = true;
-            for (std::size_t i = 0; i < metricCount; ++i) {
-                if (progress[s].histograms[i].empty()) {
-                    complete = false;
-                    break;
-                }
-                CheckpointSample sample;
-                const Accumulator& acc = progress[s].perMetric[i];
-                sample.count = acc.count();
-                sample.mean = acc.mean();
-                sample.variance = acc.variance();
-                sample.min = acc.min();
-                sample.max = acc.max();
-                sample.histogram = progress[s].histograms[i];
-                slave.samples.push_back(std::move(sample));
-            }
-            if (complete)
-                cp.slaves.push_back(std::move(slave));
-        }
+        cp.samples = std::move(samples);
         return cp;
+    };
+    // Runs under mtx: the prior merged with every healthy slave's last
+    // published sample (empty until its first measurement batch).
+    auto periodicCheckpoint = [&]() {
+        std::vector<MetricSample> merged = prior;
+        std::uint64_t events = result.resumedBaseEvents;
+        for (std::size_t s = 0; s < cfg.slaves; ++s) {
+            if (!healthy(s))
+                continue;
+            events += progress[s].events;
+            for (std::size_t i = 0; i < metricCount; ++i)
+                merged[i].merge(progress[s].samples[i]);
+        }
+        return checkpointOf(std::move(merged), events);
     };
 
     // Runs under mtx: live view of the slave phase for cfg.progress.
@@ -369,7 +319,6 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         return snap;
     };
 
-    std::atomic<std::size_t> activeSlaves{cfg.slaves};
     auto slaveMain = [&](std::size_t index) {
         // Tag this thread's log lines so interleaved slave output is
         // attributable (satellite of the single-write logging fix).
@@ -407,28 +356,19 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                 const std::uint64_t ran =
                     sim.runBatch(cfg.slaveBatchEvents);
                 events += ran;
-                // Serialize outside the lock: only this thread writes
-                // this sim, and the monitor never touches sims.
-                std::vector<std::string> histSnapshots;
-                if (checkpointing) {
-                    histSnapshots.reserve(metricCount);
-                    for (std::size_t i = 0; i < metricCount; ++i) {
-                        histSnapshots.push_back(
-                            sim.stats().metric(i).histogram().serialize());
-                    }
-                }
                 {
                     std::lock_guard<std::mutex> lock(mtx);
                     for (std::size_t i = 0; i < metricCount; ++i) {
-                        progress[index].perMetric[i] =
-                            sim.stats().metric(i).sampleAccumulator();
+                        const MetricSample& sample =
+                            sim.stats().metric(i).sample();
+                        MetricSample& published = progress[index].samples[i];
+                        published.accumulator = sample.accumulator;
+                        // Assignment reuses the previous copy's storage.
+                        if (checkpointing)
+                            published.histogram = sample.histogram;
                     }
-                    if (checkpointing)
-                        progress[index].histograms =
-                            std::move(histSnapshots);
                     progress[index].events = events;
                     progress[index].lastBeat = clock::now();
-                    progress[index].measured = true;
                     if (ran != 0) {
                         if (aggregateSatisfied())
                             trip(TerminationReason::Converged);
@@ -449,20 +389,10 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             std::lock_guard<std::mutex> lock(mtx);
             report.status = SlaveStatus::Failed;
             report.error = e.what();
-            // Discard the victim's published sample: a slave that blew
-            // up mid-measurement cannot vouch for its snapshot.
-            for (Accumulator& acc : progress[index].perMetric)
-                acc.reset();
-            progress[index].histograms.assign(metricCount, std::string());
-            progress[index].measured = false;
         } catch (...) {
             std::lock_guard<std::mutex> lock(mtx);
             report.status = SlaveStatus::Failed;
             report.error = "unknown exception";
-            for (Accumulator& acc : progress[index].perMetric)
-                acc.reset();
-            progress[index].histograms.assign(metricCount, std::string());
-            progress[index].measured = false;
         }
         // The sim is quiescent here: fold its failure totals into the
         // run aggregate. Failed slaves contribute too — their estimates
@@ -473,9 +403,9 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             std::lock_guard<std::mutex> lock(mtx);
             aggregateFailures.accumulate(totals);
         }
-        // Telemetry hook before the active-count decrement: in pool mode
-        // the waiter may tear down this frame (cfg, slaves) the moment it
-        // observes the zero count. The sim is quiescent here.
+        // Telemetry hook before the active-count decrement: the waiter
+        // may tear down this frame (cfg, slaves) the moment it observes
+        // the zero count. The sim is quiescent here.
         if (cfg.onSlaveDone)
             cfg.onSlaveDone(sim, index);
         {
@@ -483,16 +413,16 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             report.totalEvents = events;
             if (report.status == SlaveStatus::Running)
                 report.status = SlaveStatus::Ok;
-            // Decrement under mtx: the pool-mode completion wait checks
-            // this count under the same lock, so the paired notify can
-            // never slip between its predicate check and its sleep.
-            activeSlaves.fetch_sub(1, std::memory_order_relaxed);
-            // Notify while STILL holding mtx. In pool mode the waiter
-            // may destroy progressCv (it lives in this frame) as soon
-            // as it observes the zero count, and it can only observe it
-            // after this unlock — so the unlock must be this thread's
-            // last touch of the frame. A notify after the unlock would
-            // race with that destruction.
+            // Decrement under mtx: the completion wait checks this count
+            // under the same lock, so the paired notify can never slip
+            // between its predicate check and its sleep.
+            --activeSlaves;
+            // Notify while STILL holding mtx. The waiter may destroy
+            // progressCv (it lives in this frame) as soon as it observes
+            // the zero count, and it can only observe it after this
+            // unlock — so the unlock must be this thread's last touch of
+            // the frame. A notify after the unlock would race with that
+            // destruction.
             progressCv.notify_all();
         }
     };
@@ -507,8 +437,11 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         cfg.progress(snap);
     }
 
-    std::vector<std::thread> threads;
-    threads.reserve(cfg.slaves);
+    // Slaves run on the caller's shared pool (a campaign reuses one
+    // across its points) or on a pool of the runner's own.
+    std::optional<SlavePool> ownPool;
+    SlavePool& pool =
+        cfg.pool != nullptr ? *cfg.pool : ownPool.emplace(cfg.slaves);
     {
         // Heartbeats start at spawn time, not wallStart: building the
         // slaves already consumed wall clock, and charging it to them
@@ -518,12 +451,8 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         for (auto& p : progress)
             p.lastBeat = spawnTime;
     }
-    for (std::size_t s = 0; s < cfg.slaves; ++s) {
-        if (cfg.pool != nullptr)
-            cfg.pool->submit([&slaveMain, s] { slaveMain(s); });
-        else
-            threads.emplace_back(slaveMain, s);
-    }
+    for (std::size_t s = 0; s < cfg.slaves; ++s)
+        pool.submit([&slaveMain, s] { slaveMain(s); });
 
     // Supervision monitor. Convergence is normally tripped by the slave
     // that publishes the sufficient sample (the condition variable only
@@ -534,7 +463,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         auto lastCheckpoint = wallStart;
         auto lastProgress = wallStart;
         while (!reasonSet) {
-            if (activeSlaves.load(std::memory_order_relaxed) == 0)
+            if (activeSlaves == 0)
                 break;
             progressCv.wait_for(lock, std::chrono::milliseconds(10));
             if (reasonSet)
@@ -571,11 +500,6 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                     report.abandoned = true;
                     abandonFlags[s].store(true,
                                           std::memory_order_relaxed);
-                    for (Accumulator& acc : progress[s].perMetric)
-                        acc.reset();
-                    progress[s].histograms.assign(metricCount,
-                                                  std::string());
-                    progress[s].measured = false;
                 }
             }
             if (healthyCount() < cfg.minHealthySlaves) {
@@ -587,7 +511,12 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             if (checkpointing
                 && secondsSince(lastCheckpoint, now)
                        >= cfg.checkpointIntervalSeconds) {
-                writeCheckpoint(cfg.checkpointPath, buildCheckpoint());
+                const ParallelCheckpoint cp = periodicCheckpoint();
+                // Serialize and write without the lock: slaves keep
+                // publishing meanwhile.
+                lock.unlock();
+                writeCheckpoint(cfg.checkpointPath, cp);
+                lock.lock();
                 lastCheckpoint = now;
             }
             if (cfg.progress
@@ -600,16 +529,14 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             }
         }
     }
-    if (cfg.pool != nullptr) {
-        // Pool threads outlive this run; wait for *these* slaves only.
+    {
+        // A shared pool outlives this run: wait for *these* slaves only.
         // wait_for (not wait) mirrors the monitor loop's tolerance of a
         // notify landing between predicate check and sleep.
         std::unique_lock<std::mutex> lock(mtx);
-        while (activeSlaves.load(std::memory_order_relaxed) != 0)
+        while (activeSlaves != 0)
             progressCv.wait_for(lock, std::chrono::milliseconds(10));
     }
-    for (auto& thread : threads)
-        thread.join();
 
     // Final reason when every slave exited on its own (drain/failure)
     // before anything tripped. No contention remains, but the helpers
@@ -626,7 +553,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         }
     }
 
-    // --- Quorum merge: checkpointed base plus every healthy slave's
+    // --- Quorum merge: the resume prior plus every healthy slave's
     // sample into the master's (so far empty) metrics.
     for (std::size_t i = 0; i < metricCount; ++i) {
         OutputMetric& masterMetric = master.stats().metric(i);
@@ -634,8 +561,9 @@ ParallelRunner::execute(std::uint64_t rootSeed,
         // contributor must land in the master's sample, exactly once.
         std::uint64_t expected = masterMetric.acceptedCount();
         if (from != nullptr) {
-            masterMetric.absorbSample(baseAcc[i], baseHist[i]);
-            expected += baseAcc[i].count();
+            const std::uint64_t count = prior[i].accumulator.count();
+            masterMetric.absorb(prior[i], count, 1);
+            expected += count;
         }
         for (std::size_t s = 0; s < cfg.slaves; ++s) {
             if (!healthy(s))
@@ -645,7 +573,9 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             if (slaveMetric.phase() == Phase::Warmup
                 || slaveMetric.phase() == Phase::Calibration)
                 continue;
-            masterMetric.absorb(slaveMetric);
+            masterMetric.absorb(slaveMetric.sample(),
+                                slaveMetric.offeredCount(),
+                                slaveMetric.lag());
             expected += slaveMetric.acceptedCount();
         }
         BH_ENSURE(masterMetric.acceptedCount() == expected,
@@ -653,7 +583,7 @@ ParallelRunner::execute(std::uint64_t rootSeed,
                   masterMetric.specification().name, "': merged ",
                   masterMetric.acceptedCount(), " expected ", expected);
         BH_ENSURE(masterMetric.acceptedCount()
-                      == masterMetric.histogram().count(),
+                      == masterMetric.sample().histogram.count(),
                   "accumulator and histogram disagree after quorum merge");
         masterMetric.evaluateConvergence();
     }
@@ -713,40 +643,17 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     }
 
     // An unconverged run always leaves a final resumable snapshot, so
-    // interruption by valve or quorum loss never discards the sample.
+    // interruption by valve or quorum loss never discards the sample:
+    // the master's metrics, which now hold the quorum merge.
     if (checkpointing && !result.converged) {
-        std::lock_guard<std::mutex> lock(mtx);
-        ParallelCheckpoint cp = buildCheckpoint();
-        // The published snapshots may lag the sims by part of a batch;
-        // refresh them from the (now quiescent) slave simulations.
-        cp.slaves.clear();
-        for (std::size_t s = 0; s < cfg.slaves; ++s) {
-            if (!healthy(s))
-                continue;
-            CheckpointSlave slave;
-            slave.events = result.slaveReports[s].totalEvents;
-            bool complete = true;
-            for (std::size_t i = 0; i < metricCount; ++i) {
-                const OutputMetric& metric = slaves[s]->stats().metric(i);
-                if (metric.phase() == Phase::Warmup
-                    || metric.phase() == Phase::Calibration) {
-                    complete = false;
-                    break;
-                }
-                CheckpointSample sample;
-                const Accumulator& acc = metric.sampleAccumulator();
-                sample.count = acc.count();
-                sample.mean = acc.mean();
-                sample.variance = acc.variance();
-                sample.min = acc.min();
-                sample.max = acc.max();
-                sample.histogram = metric.histogram().serialize();
-                slave.samples.push_back(std::move(sample));
-            }
-            if (complete)
-                cp.slaves.push_back(std::move(slave));
-        }
-        writeCheckpoint(cfg.checkpointPath, cp);
+        std::vector<MetricSample> merged;
+        for (std::size_t i = 0; i < metricCount; ++i)
+            merged.push_back(master.stats().metric(i).sample());
+        std::uint64_t events = result.resumedBaseEvents;
+        for (std::size_t s = 0; s < cfg.slaves; ++s)
+            events += healthy(s) ? result.slaveReports[s].totalEvents : 0;
+        writeCheckpoint(cfg.checkpointPath,
+                        checkpointOf(std::move(merged), events));
     }
 
     result.wallSeconds = std::chrono::duration<double>(

@@ -18,7 +18,7 @@
  * "In a number of ways, the master-slave relationship resembles the
  * MapReduce framework" — slaves are embarrassingly parallel, sharing only
  * the stop flag and periodic sample-count snapshots. Here slaves are
- * std::threads in one process.
+ * tasks on a SlavePool's worker threads in one process.
  *
  * The runtime treats slave failure as the normal case (SPECI-2's
  * design point): every slave runs under supervision — exceptions are
@@ -26,8 +26,8 @@
  * process, a watchdog abandons slaves that stop publishing progress, and
  * step 3 merges only the healthy quorum, reporting a degraded-but-valid
  * estimate as long as `minHealthySlaves` survive.
- * Periodic checkpoints (see ParallelCheckpoint in core/results_io.hh)
- * make an interrupted run resumable. docs/robustness.md describes the
+ * Periodic checkpoints of the merged sample (see ParallelCheckpoint in
+ * core/results_io.hh) make an interrupted run resumable. docs/robustness.md describes the
  * supervision state machine.
  */
 
@@ -104,16 +104,17 @@ struct ParallelConfig
     /// A slave that publishes no progress for this long is marked
     /// TimedOut and abandoned; 0 disables the watchdog.
     double watchdogSeconds = 0.0;
-    /// Deterministic fault injection (tests / chaos soaks).
+    /// Deterministic fault injection (tests).
     FaultPlan faults;
 
     // --- execution substrate ---
     /// Non-owning. When set, slave simulations run as tasks on this
-    /// shared pool instead of freshly spawned threads — a campaign
-    /// (src/campaign) reuses one pool across every sweep point. The pool
-    /// must have at least `slaves` workers (fewer would let the watchdog
-    /// abandon slaves that were only ever queued). Results are identical
-    /// either way; the pool only changes thread ownership.
+    /// shared pool instead of a `slaves`-wide pool the run creates for
+    /// itself — a campaign (src/campaign) reuses one pool across every
+    /// sweep point. The pool must have at least `slaves` workers (fewer
+    /// would let the watchdog abandon slaves that were only ever queued).
+    /// Results are identical either way; the pool only changes thread
+    /// ownership.
     SlavePool* pool = nullptr;
 
     // --- checkpointing ---

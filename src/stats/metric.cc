@@ -112,11 +112,10 @@ OutputMetric::completeCalibration()
 }
 
 std::uint64_t
-OutputMetric::requiredSamples() const
+OutputMetric::requiredSamples(const Accumulator& sample) const
 {
     std::uint64_t required = requiredSamplesMean(
-        criticalZ, accumulator.mean(), accumulator.stddev(),
-        spec.target.accuracy);
+        criticalZ, sample.mean(), sample.stddev(), spec.target.accuracy);
     for (double q : spec.quantiles) {
         required = std::max(required,
                             requiredSamplesQuantile(criticalZ, q,
@@ -130,9 +129,10 @@ OutputMetric::evaluateConvergence()
 {
     if (currentPhase == Phase::Converged)
         return true;
+    const Accumulator& accumulator = measured.accumulator;
     if (currentPhase != Phase::Measurement || accumulator.count() == 0)
         return false;
-    if (accumulator.count() >= requiredSamples()) {
+    if (accumulator.count() >= requiredSamples(accumulator)) {
         currentPhase = Phase::Converged;
         return true;
     }
@@ -140,41 +140,21 @@ OutputMetric::evaluateConvergence()
 }
 
 void
-OutputMetric::enterMeasurement()
+OutputMetric::absorb(const MetricSample& other, std::uint64_t otherOffered,
+                     std::size_t otherLag)
 {
-    if (calibrated())
-        return;
-    calibrationBuffer.clear();
-    calibrationBuffer.shrink_to_fit();
-    currentPhase = Phase::Measurement;
-}
-
-void
-OutputMetric::absorb(const OutputMetric& other)
-{
-    BH_REQUIRE(other.calibrated(),
-               "absorb of a metric that has not completed calibration");
-    enterMeasurement();
-    lagSpacing = std::max(lagSpacing, other.lagSpacing);
-    const std::uint64_t before = accumulator.count();
-    accumulator.merge(other.accumulator);
-    hist.merge(other.hist);
-    offered += other.offered;
-    BH_ENSURE(accumulator.count() == before + other.accumulator.count(),
+    if (!calibrated()) {
+        calibrationBuffer.clear();
+        calibrationBuffer.shrink_to_fit();
+        currentPhase = Phase::Measurement;
+    }
+    lagSpacing = std::max(lagSpacing, otherLag);
+    const std::uint64_t before = measured.accumulator.count();
+    measured.merge(other);
+    offered += otherOffered;
+    BH_ENSURE(measured.accumulator.count()
+                  == before + other.accumulator.count(),
               "absorb lost sample weight");
-}
-
-void
-OutputMetric::absorbSample(const Accumulator& sample,
-                           const Histogram& sampleHist)
-{
-    enterMeasurement();
-    const std::uint64_t before = accumulator.count();
-    accumulator.merge(sample);
-    hist.merge(sampleHist);
-    offered += sample.count();
-    BH_ENSURE(accumulator.count() == before + sample.count(),
-              "absorbSample lost sample weight");
 }
 
 MetricEstimate
@@ -184,13 +164,15 @@ OutputMetric::estimate() const
     est.name = spec.name;
     est.phase = currentPhase;
     est.converged = currentPhase == Phase::Converged;
+    const Accumulator& accumulator = measured.accumulator;
+    const Histogram& hist = measured.histogram;
     est.accepted = accumulator.count();
     est.offered = offered;
     est.lag = calibrated() ? lagSpacing : 0;
     est.mean = accumulator.mean();
     est.stddev = accumulator.stddev();
     if (accumulator.count() > 0) {
-        est.required = requiredSamples();
+        est.required = requiredSamples(accumulator);
         est.min = accumulator.min();
         est.max = accumulator.max();
         const Interval ci = meanInterval(criticalZ, accumulator.mean(),

@@ -91,6 +91,26 @@ struct MetricEstimate
     std::vector<QuantileEstimate> quantiles;
 };
 
+/**
+ * A metric's measured sample: the accumulator and histogram that every
+ * estimate is computed from. It is the one shape a parallel run carries
+ * a sample in: what slaves publish, what a checkpoint stores and what
+ * OutputMetric::absorb() merges.
+ */
+struct MetricSample
+{
+    Histogram histogram;
+    Accumulator accumulator;
+
+    /** Add another sample's observations to this one. */
+    void
+    merge(const MetricSample& other)
+    {
+        accumulator.merge(other.accumulator);
+        histogram.merge(other.histogram);
+    }
+};
+
 /** The sampling pipeline for one output metric. */
 class OutputMetric
 {
@@ -185,20 +205,15 @@ class OutputMetric
     void disableSelfConvergence() { selfConvergence = false; }
 
     /**
-     * Merge another metric's measured sample into this one (Fig. 3).
-     * A target still in warm-up or calibration (the parallel master,
-     * which runs no events) moves to Measurement, so the merged sample
-     * can converge; lag() becomes the largest lag absorbed.
-     * @pre `other` completed calibration
+     * Merge a measured sample into this one (Fig. 3): a slave metric's
+     * sample(), drawn from `otherOffered` offered observations at lag
+     * `otherLag`, or a checkpointed prior (its count and lag 1). A target
+     * still in warm-up or calibration (the parallel master, which runs no
+     * events) moves to Measurement, so the merged sample can converge;
+     * lag() becomes the largest lag absorbed.
      */
-    void absorb(const OutputMetric& other);
-
-    /**
-     * Merge a raw (accumulator, histogram) sample — a checkpointed
-     * slave's contribution revived without its OutputMetric. Moves a
-     * target that is not yet measuring to Measurement, like absorb().
-     */
-    void absorbSample(const Accumulator& sample, const Histogram& hist);
+    void absorb(const MetricSample& other, std::uint64_t otherOffered,
+                std::size_t otherLag);
 
     /**
      * Re-evaluate convergence from the current (possibly merged) sample;
@@ -207,11 +222,18 @@ class OutputMetric
      */
     bool evaluateConvergence();
 
-    /** Required sample size max(Nm, Nq) given current estimates. */
-    std::uint64_t requiredSamples() const;
+    /**
+     * Required sample size max(Nm, Nq) (Eqs. 2-3) at this metric's
+     * target, given a sample's moments: its own, or a merged one.
+     */
+    std::uint64_t requiredSamples(const Accumulator& sample) const;
 
     /** Observations accepted into the estimate so far. */
-    std::uint64_t acceptedCount() const { return accumulator.count(); }
+    std::uint64_t
+    acceptedCount() const
+    {
+        return measured.accumulator.count();
+    }
 
     /** Total observations offered (all phases). */
     std::uint64_t offeredCount() const { return offered; }
@@ -222,18 +244,16 @@ class OutputMetric
     /** The spec this metric was created with. */
     const MetricSpec& specification() const { return spec; }
 
-    /** Measurement histogram (empty until calibration completes). */
-    const Histogram& histogram() const { return hist; }
-
-    /** Accumulator over accepted observations. */
-    const Accumulator& sampleAccumulator() const { return accumulator; }
+    /**
+     * The measured sample: accumulator and histogram over the accepted
+     * observations (empty until calibration completes).
+     */
+    const MetricSample& sample() const { return measured; }
 
   private:
     /** Warm-up and calibration routing (cold; called until measurement). */
     void recordPreMeasurement(double x);
     void completeCalibration();
-    /** Merge-target side of absorb()/absorbSample(): start measuring. */
-    void enterMeasurement();
     /** Calibration is done: Measurement or Converged. */
     bool
     calibrated() const
@@ -251,8 +271,8 @@ class OutputMetric
     void
     acceptObservation(double x)
     {
-        accumulator.add(x);
-        hist.add(x);
+        measured.accumulator.add(x);
+        measured.histogram.add(x);
         if (currentPhase == Phase::Converged || !selfConvergence)
             return;
         if (++sinceChecked >= spec.checkInterval) {
@@ -274,8 +294,7 @@ class OutputMetric
     std::uint64_t sinceAccepted = 0;
     std::uint64_t sinceChecked = 0;
     bool selfConvergence = true;
-    Histogram hist;
-    Accumulator accumulator;
+    MetricSample measured;
     double criticalZ;
 };
 

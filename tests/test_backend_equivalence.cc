@@ -184,8 +184,10 @@ runPhasesScenario(bool arena, std::vector<TimeSeq>& trace,
         },
         &trace);
     SqsResult result = sim.run();
-    histogramBytes =
-        sim.stats().metricByName("response_time").histogram().serialize();
+    histogramBytes = sim.stats()
+                         .metricByName("response_time")
+                         .sample()
+                         .histogram.serialize();
     return result;
 }
 

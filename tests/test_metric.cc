@@ -182,7 +182,8 @@ TEST(OutputMetric, ConvergenceNeedsRequiredSamples)
     OutputMetric metric(quickSpec());
     feedIid(metric, 1100 + 500, 9);  // measurement has only ~500 accepted
     EXPECT_EQ(metric.phase(), Phase::Measurement);
-    EXPECT_GT(metric.requiredSamples(), metric.acceptedCount());
+    EXPECT_GT(metric.requiredSamples(metric.sample().accumulator),
+              metric.acceptedCount());
 }
 
 TEST(OutputMetric, TighterAccuracyConvergesLater)
@@ -235,10 +236,11 @@ TEST(OutputMetric, AbsorbMergesSlaves)
     const std::uint64_t combined =
         master.acceptedCount() + slaveA.acceptedCount()
         + slaveB.acceptedCount();
-    master.absorb(slaveA);
-    master.absorb(slaveB);
+    master.absorb(slaveA.sample(), slaveA.offeredCount(), slaveA.lag());
+    master.absorb(slaveB.sample(), slaveB.offeredCount(), slaveB.lag());
     EXPECT_EQ(master.acceptedCount(), combined);
-    EXPECT_EQ(master.histogram().count(), combined);
+    EXPECT_EQ(master.sample().histogram.count(), combined);
+    EXPECT_EQ(master.offeredCount(), 1100u + 3100u + 3100u);
     const MetricEstimate est = master.estimate();
     EXPECT_NEAR(est.mean, 1.0, 0.1);
 }
@@ -259,8 +261,8 @@ TEST(OutputMetric, MergeTargetThatNeverRecordedConverges)
     ASSERT_EQ(target.phase(), Phase::Calibration);
     EXPECT_EQ(target.estimate().lag, 0u);
 
-    target.absorb(slaveA);
-    target.absorb(slaveB);
+    target.absorb(slaveA.sample(), slaveA.offeredCount(), slaveA.lag());
+    target.absorb(slaveB.sample(), slaveB.offeredCount(), slaveB.lag());
     EXPECT_EQ(target.phase(), Phase::Measurement);
     EXPECT_EQ(target.lag(), std::max(slaveA.lag(), slaveB.lag()));
     EXPECT_TRUE(target.evaluateConvergence());
@@ -270,11 +272,14 @@ TEST(OutputMetric, MergeTargetThatNeverRecordedConverges)
     EXPECT_EQ(est.accepted,
               slaveA.acceptedCount() + slaveB.acceptedCount());
 
-    // A raw checkpointed sample moves a fresh target the same way.
+    // A checkpointed sample (offered = its count, lag 1) moves a fresh
+    // target the same way.
     OutputMetric revived(spec);
-    revived.absorbSample(slaveA.sampleAccumulator(), slaveA.histogram());
+    revived.absorb(slaveA.sample(), slaveA.acceptedCount(), 1);
     EXPECT_EQ(revived.phase(), Phase::Measurement);
     EXPECT_EQ(revived.acceptedCount(), slaveA.acceptedCount());
+    EXPECT_EQ(revived.offeredCount(), slaveA.acceptedCount());
+    EXPECT_EQ(revived.lag(), 1u);
 }
 
 TEST(OutputMetric, QuantileOnlyMetric)
@@ -350,8 +355,8 @@ TEST(OutputMetric, RecordManyIsBitIdenticalToPerSampleLoop)
     EXPECT_EQ(a.max, b.max);
     ASSERT_EQ(a.quantiles.size(), b.quantiles.size());
     EXPECT_EQ(a.quantiles[0].value, b.quantiles[0].value);
-    EXPECT_EQ(perSample.histogram().serialize(),
-              bulk.histogram().serialize());
+    EXPECT_EQ(perSample.sample().histogram.serialize(),
+              bulk.sample().histogram.serialize());
 }
 
 TEST(OutputMetric, RecordManyPartialBlockLeavesLagMidStride)

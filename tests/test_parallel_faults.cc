@@ -79,46 +79,20 @@ faultOn(std::size_t slave, FaultKind kind, std::uint64_t afterEvents = 1,
     return spec;
 }
 
-TEST(FaultPlan, ResolutionIsDeterministic)
+TEST(FaultPlan, ExplicitEntriesBindOnlyTheirVictim)
 {
     FaultPlan plan;
-    plan.crashProbability = 0.4;
-    plan.hangProbability = 0.2;
-    plan.slowdownProbability = 0.2;
-    const auto a = plan.resolve(8, 99);
-    const auto b = plan.resolve(8, 99);
-    ASSERT_EQ(a.size(), 8u);
-    ASSERT_EQ(b.size(), 8u);
-    for (std::size_t s = 0; s < 8; ++s) {
-        EXPECT_EQ(a[s].kind, b[s].kind);
-        EXPECT_EQ(a[s].afterEvents, b[s].afterEvents);
-    }
-    // At these probabilities, eight slaves cannot all stay healthy with
-    // overwhelming likelihood for any reasonable stream; just check the
-    // schedule isn't trivially empty in aggregate across a few seeds.
-    bool anyFault = false;
-    for (std::uint64_t seed = 1; seed <= 4 && !anyFault; ++seed) {
-        for (const FaultSpec& spec : plan.resolve(8, seed))
-            anyFault = anyFault || spec.kind != FaultKind::None;
-    }
-    EXPECT_TRUE(anyFault);
-}
-
-TEST(FaultPlan, ExplicitEntriesOverrideDraws)
-{
-    FaultPlan plan;
-    plan.crashProbability = 1.0;  // every slave would crash...
     plan.faults.push_back(faultOn(2, FaultKind::Slowdown, 5, 0.001));
-    const auto schedule = plan.resolve(4, 7);
+    const auto schedule = plan.resolve(4);
     ASSERT_EQ(schedule.size(), 4u);
-    EXPECT_EQ(schedule[2].kind, FaultKind::Slowdown);  // ...except 2
+    EXPECT_EQ(schedule[2].kind, FaultKind::Slowdown);
     EXPECT_EQ(schedule[2].afterEvents, 5u);
     for (std::size_t s : {0u, 1u, 3u})
-        EXPECT_EQ(schedule[s].kind, FaultKind::Crash);
+        EXPECT_EQ(schedule[s].kind, FaultKind::None);
     // Entries for out-of-range slaves are ignored, not fatal.
     FaultPlan wide;
     wide.faults.push_back(faultOn(9, FaultKind::Crash));
-    const auto small = wide.resolve(2, 1);
+    const auto small = wide.resolve(2);
     EXPECT_EQ(small[0].kind, FaultKind::None);
     EXPECT_EQ(small[1].kind, FaultKind::None);
 }
@@ -338,7 +312,8 @@ TEST(ParallelFaults, CheckpointResumeConvergesWithFewerEvents)
     const ParallelCheckpoint checkpoint = readCheckpoint(path);
     EXPECT_EQ(checkpoint.rootSeed, 606u);
     EXPECT_EQ(checkpoint.epoch, 0u);
-    EXPECT_FALSE(checkpoint.slaves.empty());
+    ASSERT_FALSE(checkpoint.samples.empty());
+    EXPECT_GT(checkpoint.samples[0].accumulator.count(), 0u);
 
     // Resume inherits the checkpointed sample, so it must converge on
     // strictly fewer post-resume events than the cold run needed.
@@ -355,6 +330,53 @@ TEST(ParallelFaults, CheckpointResumeConvergesWithFewerEvents)
                 0.05);
 }
 
+TEST(ParallelFaults, ValveCheckpointIsTheMergedSampleAndResumesOnFewerSlaves)
+{
+    // A checkpoint is the merged sample: the final one of a valve-stopped
+    // run holds exactly what the merged estimate holds, and the events
+    // behind it. The slave count is not part of it, so a resume on half
+    // the slaves picks the sample up and converges.
+    const double accuracy = 0.005;
+    ParallelConfig cfg;
+    cfg.slaves = 4;
+    cfg.sqs = parallelSqs(accuracy);
+    cfg.slaveBatchEvents = 10000;
+    cfg.checkpointPath = ::testing::TempDir() + "/bh_parallel_merged.json";
+    cfg.checkpointIntervalSeconds = 0.05;
+    cfg.sqs.maxEvents = 400000;
+    const ParallelResult stopped =
+        ParallelRunner(googleBuilder(accuracy), cfg).run(707);
+    ASSERT_FALSE(stopped.converged);
+    EXPECT_EQ(stopped.termination, TerminationReason::MaxEvents);
+
+    const ParallelCheckpoint checkpoint = readCheckpoint(cfg.checkpointPath);
+    std::remove(cfg.checkpointPath.c_str());
+    ASSERT_EQ(checkpoint.samples.size(), stopped.estimates.size());
+    for (std::size_t i = 0; i < checkpoint.samples.size(); ++i) {
+        const MetricEstimate& est = stopped.estimates[i];
+        EXPECT_EQ(checkpoint.metricNames[i], est.name);
+        EXPECT_GT(est.accepted, 0u) << est.name;
+        EXPECT_EQ(checkpoint.samples[i].accumulator.count(), est.accepted)
+            << est.name;
+        EXPECT_EQ(checkpoint.samples[i].histogram.count(), est.accepted)
+            << est.name;
+    }
+    EXPECT_EQ(checkpoint.events, stopped.totalEvents);
+
+    ParallelConfig fewer = cfg;
+    fewer.slaves = 2;
+    fewer.checkpointPath.clear();
+    fewer.sqs.maxEvents = 0;
+    const ParallelResult resumed =
+        ParallelRunner(googleBuilder(accuracy), fewer).resume(checkpoint);
+    ASSERT_TRUE(resumed.converged);
+    EXPECT_EQ(resumed.termination, TerminationReason::Converged);
+    EXPECT_EQ(resumed.slaveReports.size(), 2u);
+    EXPECT_EQ(resumed.resumedBaseEvents, checkpoint.events);
+    EXPECT_GT(resumed.estimates[0].accepted,
+              checkpoint.samples[0].accumulator.count());
+}
+
 TEST(ParallelFaultsDeathTest, DegenerateSupervisionConfigs)
 {
     ParallelConfig zeroBatch;
@@ -368,11 +390,6 @@ TEST(ParallelFaultsDeathTest, DegenerateSupervisionConfigs)
     badQuorum.minHealthySlaves = 3;
     EXPECT_EXIT(ParallelRunner(googleBuilder(0.1), badQuorum),
                 ::testing::ExitedWithCode(1), "minHealthySlaves");
-
-    FaultPlan badPlan;
-    badPlan.crashProbability = 1.5;
-    EXPECT_EXIT(badPlan.resolve(2, 1), ::testing::ExitedWithCode(1),
-                "probabilit");
 }
 
 } // namespace

@@ -135,7 +135,8 @@ expectIdenticalMetrics(const OutputMetric& a, const OutputMetric& b)
     EXPECT_EQ(ea.stddev, eb.stddev);
     EXPECT_EQ(ea.min, eb.min);
     EXPECT_EQ(ea.max, eb.max);
-    EXPECT_EQ(a.histogram().serialize(), b.histogram().serialize());
+    EXPECT_EQ(a.sample().histogram.serialize(),
+              b.sample().histogram.serialize());
 }
 
 TEST(RecurrenceExact, SingleCoreSojournsBitIdenticalToDes)
@@ -275,7 +276,7 @@ runWithHistogram(ExperimentSpec spec, std::uint64_t seed, SqsResult& result)
     const Experiment experiment(std::move(spec));
     experiment.buildInto(sim);
     result = sim.run();
-    return sim.stats().metricByName("response_time").histogram();
+    return sim.stats().metricByName("response_time").sample().histogram;
 }
 
 /** Max |F_a - F_b| over both histograms' support (evaluated densely). */

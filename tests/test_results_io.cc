@@ -125,31 +125,41 @@ TEST(ResultsIo, CheckpointRoundTripKeepsIdentityAndSamples)
     cp.identity = "config-0123456789abcdef";
     cp.rootSeed = 42;
     cp.epoch = 1;
-    cp.baseEvents = 1000;
-    cp.metricNames = {"response_time"};
-    CheckpointSample sample;
-    sample.count = 3;
-    sample.mean = 2.0;
-    sample.variance = 1.0;
-    sample.min = 1.0;
-    sample.max = 3.0;
-    sample.histogram = "loglinear256 3 0 1 3 261888 1 3";
-    cp.slaves.push_back(CheckpointSlave{500, {sample}});
-    const ParallelCheckpoint back = checkpointFromJson(checkpointToJson(cp));
+    cp.events = 1500;
+    cp.metricNames = {"response_time", "never_measured"};
+    MetricSample sample;
+    for (double x : {1.0, 2.0, 3.0, 0.0}) {
+        sample.accumulator.add(x);
+        sample.histogram.add(x);
+    }
+    cp.samples = {sample, MetricSample{}};
+    const JsonValue json = checkpointToJson(cp);
+    EXPECT_EQ(json.find("format")->asString(), "bighouse-checkpoint-v3");
+    const ParallelCheckpoint back = checkpointFromJson(json);
     EXPECT_EQ(back.identity, cp.identity);
     EXPECT_EQ(back.rootSeed, 42u);
     EXPECT_EQ(back.epoch, 1u);
+    EXPECT_EQ(back.events, 1500u);
     EXPECT_EQ(back.metricNames, cp.metricNames);
-    ASSERT_EQ(back.slaves.size(), 1u);
-    EXPECT_EQ(back.slaves[0].samples[0].histogram, sample.histogram);
-    EXPECT_EQ(checkpointToJson(cp).find("format")->asString(),
-              "bighouse-checkpoint-v2");
+    ASSERT_EQ(back.samples.size(), 2u);
+    const Accumulator& acc = back.samples[0].accumulator;
+    EXPECT_EQ(acc.count(), 4u);
+    EXPECT_DOUBLE_EQ(acc.mean(), 1.5);
+    EXPECT_DOUBLE_EQ(acc.variance(), sample.accumulator.variance());
+    EXPECT_EQ(acc.min(), 0.0);
+    EXPECT_EQ(acc.max(), 3.0);
+    EXPECT_EQ(back.samples[0].histogram.serialize(),
+              sample.histogram.serialize());
+    // An empty sample (a metric no slave measured yet) survives too.
+    EXPECT_EQ(back.samples[1].accumulator.count(), 0u);
+    EXPECT_EQ(back.samples[1].histogram.count(), 0u);
 }
 
 TEST(ResultsIoDeathTest, RejectsVersionOneCheckpointByName)
 {
-    // v1 histograms used calibrated bins; the message names the version
-    // so the user knows why an old checkpoint cannot resume.
+    // v1 histograms used calibrated bins, v2 stored per-slave samples;
+    // the message names the version so the user knows why an old
+    // checkpoint cannot resume.
     EXPECT_EXIT(checkpointFromJson(
                     parseJson(R"({"format": "bighouse-checkpoint-v1",
                                    "rootSeed": 1, "epoch": 0,
@@ -158,8 +168,33 @@ TEST(ResultsIoDeathTest, RejectsVersionOneCheckpointByName)
                                    "slaves": []})")
                         .value),
                 ::testing::ExitedWithCode(1), "bighouse-checkpoint-v1");
+    EXPECT_EXIT(checkpointFromJson(
+                    parseJson(R"({"format": "bighouse-checkpoint-v2",
+                                   "identity": "config-0", "rootSeed": 1,
+                                   "epoch": 0, "baseEvents": 0,
+                                   "metrics": ["x"], "base": [],
+                                   "slaves": []})")
+                        .value),
+                ::testing::ExitedWithCode(1), "bighouse-checkpoint-v2");
     EXPECT_EXIT(checkpointFromJson(parseJson(R"({"format": "x"})").value),
                 ::testing::ExitedWithCode(1), "not a BigHouse checkpoint");
+}
+
+TEST(ResultsIoDeathTest, RejectsCheckpointWhoseHistogramDisagreesWithCount)
+{
+    // A metric's moments and histogram describe one sample; a file where
+    // they disagree was edited or truncated and must not seed a resume.
+    MetricSample sample;
+    sample.accumulator.add(1.0);
+    sample.histogram.add(1.0);
+    sample.histogram.add(2.0);
+    ParallelCheckpoint cp;
+    cp.metricNames = {"response_time"};
+    cp.samples = {sample};
+    EXPECT_EXIT(checkpointFromJson(checkpointToJson(cp)),
+                ::testing::ExitedWithCode(1),
+                "'response_time' has 1 observations but its histogram "
+                "holds 2");
 }
 
 } // namespace

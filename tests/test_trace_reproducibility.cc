@@ -229,8 +229,10 @@ runInstrumented(const std::function<void(SqsSimulation&)>& instrument,
     if (instrument)
         instrument(sim);
     SqsResult result = sim.run();
-    histogramBytes =
-        sim.stats().metricByName("response_time").histogram().serialize();
+    histogramBytes = sim.stats()
+                         .metricByName("response_time")
+                         .sample()
+                         .histogram.serialize();
     return result;
 }
 
