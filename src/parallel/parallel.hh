@@ -124,8 +124,8 @@ struct ParallelConfig
     double checkpointIntervalSeconds = 1.0;
     /// Names the model and config behind the samples; written into every
     /// checkpoint, and resume() rejects a checkpoint whose identity
-    /// differs. bighouse_run passes a hash of the resolved config,
-    /// campaigns the point key.
+    /// differs. bighouse_run passes a hash of the resolved config
+    /// without its run-length valves, campaigns the point key.
     std::string checkpointIdentity;
 
     // --- observability (all optional; empty = zero overhead) ---

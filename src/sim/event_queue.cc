@@ -5,13 +5,12 @@ namespace bighouse {
 std::uint32_t
 EventQueue::checkedSlotIndex(std::size_t slotCount)
 {
-    // kNoSlot is the free-list terminator / invalid-EventId sentinel, so
-    // the table tops out one below the uint32_t range. Without the guard
-    // the old cast silently wrapped to slot 0 past 2^32 entries,
-    // corrupting whichever event lived there.
-    BH_REQUIRE(slotCount < kNoSlot,
+    // The heap tag keeps 24 bits for the slot. Without the guard a larger
+    // index would spill into the sequence bits, or the old cast would wrap
+    // to a low slot, corrupting whichever event lived there.
+    BH_REQUIRE(slotCount < kSlotLimit,
                "event queue slot table exhausted: ", slotCount,
-               " slots in flight (max ", kNoSlot - 1, ")");
+               " slots in flight (max ", kSlotLimit - 1, ")");
     return static_cast<std::uint32_t>(slotCount);
 }
 
@@ -19,7 +18,7 @@ std::uint64_t
 EventQueue::nextSeq() const
 {
     BH_REQUIRE(liveCount > 0, "nextSeq() on an empty event queue");
-    return heap.front().seq;
+    return seqOf(heap.front());
 }
 
 bool
@@ -50,7 +49,7 @@ bool
 EventQueue::ordered() const
 {
     for (std::size_t i = 1; i < heap.size(); ++i) {
-        if (later(heap[(i - 1) / 2], heap[i]))
+        if (less(heap[i], heap[(i - 1) / 4]))
             return false;
     }
     return true;
@@ -68,11 +67,14 @@ EventQueue::compact()
     }
     heap.resize(write);
     deadCount = 0;
-    // Floyd re-heapify. The comparator's (time, seq) order is total, so
+    // Floyd re-heapify over the (n + 2) / 4 internal nodes, each refilled
+    // the way pop() refills the root. The (time, seq) order is total, so
     // the pop sequence — and therefore the simulation — is unchanged by
     // the internal array shuffle.
-    for (std::size_t i = heap.size() / 2; i-- > 0;)
-        siftDown(i);
+    for (std::size_t i = (heap.size() + 2) / 4; i-- > 0;) {
+        const Entry moving = heap[i];
+        siftUp(holeToLeaf(i), moving, i);
+    }
     BH_AUDIT(ordered(), "heap order broken after compaction");
 }
 

@@ -1,18 +1,32 @@
 /**
  * @file
  * The pending-event set of the discrete-event simulator: a hand-rolled
- * binary min-heap over (time, sequence number). O(log n) push and pop.
+ * 4-ary min-heap over (time, sequence number). O(log n) push and pop.
  *
  * Events scheduled for the same instant execute in scheduling order,
  * which makes whole simulations bit-reproducible under a fixed seed — a
  * property the regression tests and the master/slave protocol rely on
  * (tests/test_trace_reproducibility.cc).
  *
- * Hot-path layout: heap entries are 24-byte PODs (time, seq, slot); the
- * callback lives in a side slot table indexed by the entry. Heap
- * operations therefore move trivially-copyable records, never hash, and
- * no path allocates in steady state (callbacks are InlineCallback, not
- * std::function).
+ * Hot-path layout: heap entries are 16-byte PODs of two integers, and
+ * the callback lives in a side slot table indexed by the entry. `key` is
+ * the IEEE-754 bit pattern of the event time: times are >= 0, and
+ * non-negative doubles order like their bit patterns once -0.0 is folded
+ * to +0.0 (unfolded, its sign bit would sort it after every positive
+ * time). `tag` is `seq << 24 | slot`. Sequence numbers are unique, so
+ * comparing (key, tag) as one unsigned 128-bit integer is exactly the
+ * (time, seq) order; the slot bits never decide. The packed widths cap
+ * one queue at 2^40 pushes over its lifetime (1.1e12) and 2^24 slots
+ * (16.7M pending events); checkedSeq() and checkedSlotIndex() die at
+ * those limits instead of truncating. Heap operations move
+ * trivially-copyable records, never hash, and no path allocates in
+ * steady state (callbacks are InlineCallback, not std::function).
+ *
+ * The heap is 4-ary (LaMarca & Ladner 1996): half the depth of a binary
+ * heap, and a node's four children are 64 contiguous bytes. pop() moves
+ * the root hole down the smaller-child path to a leaf, then sifts the
+ * former last entry up from there, which usually belongs near the
+ * bottom; the walk down compares only siblings.
  *
  * Cancellation (needed for preempted service completions under DVFS
  * throttling and sleep-state transitions) releases the callback — and
@@ -27,6 +41,7 @@
 #ifndef BIGHOUSE_SIM_EVENT_QUEUE_HH
 #define BIGHOUSE_SIM_EVENT_QUEUE_HH
 
+#include <bit>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -88,7 +103,8 @@ class EventQueue
     Time
     nextTime() const
     {
-        return liveCount == 0 ? kTimeNever : heap.front().time;
+        return liveCount == 0 ? kTimeNever
+                              : std::bit_cast<Time>(heap.front().key);
     }
 
     /** Sequence number of the earliest pending event. @pre !empty() */
@@ -104,7 +120,7 @@ class EventQueue
 
     /**
      * Cancel a scheduled event. The callback (and its captured state) is
-     * destroyed immediately; only a 24-byte tombstone lingers in the
+     * destroyed immediately; only a 16-byte tombstone lingers in the
      * heap until swept.
      * @return true when the event was pending, false when it already
      *         fired or was cancelled before.
@@ -131,22 +147,46 @@ class EventQueue
 
     /**
      * The slot-index overflow guard, exposed so the guard path is unit
-     * testable without allocating 2^32 slots: returns `slotCount` as the
-     * next slot index, or dies when the table is exhausted.
+     * testable without allocating 2^24 slots: returns `slotCount` as the
+     * next slot index, or dies when the index no longer fits the heap
+     * tag's 24 slot bits.
      */
     static std::uint32_t checkedSlotIndex(std::size_t slotCount);
+
+    /**
+     * The sequence-width guard, exposed so the guard path is unit
+     * testable without 2^40 pushes: returns `seq`, or dies when it no
+     * longer fits the heap tag's 40 sequence bits.
+     */
+    static std::uint64_t
+    checkedSeq(std::uint64_t seq)
+    {
+        BH_REQUIRE(seq < kSeqLimit,
+                   "event queue sequence space exhausted: push ", seq,
+                   " (max ", kSeqLimit - 1, ")");
+        return seq;
+    }
 
   private:
     /// Free-list terminator / invalid-EventId sentinel slot index.
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-    /** 24-byte POD heap record; the callback lives in slots[slot]. */
+    /// Low tag bits holding the slot index; the sequence sits above.
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint64_t kSlotMask =
+        (std::uint64_t{1} << kSlotBits) - 1;
+    /// Exclusive limits of the two packed fields.
+    static constexpr std::uint64_t kSlotLimit = kSlotMask + 1;
+    static constexpr std::uint64_t kSeqLimit =
+        std::uint64_t{1} << (64 - kSlotBits);
+
+    /** 16-byte POD heap record; the callback lives in slots[slot]. */
     struct Entry
     {
-        Time time;
-        std::uint64_t seq;
-        std::uint32_t slot;
+        std::uint64_t key;  ///< bit pattern of the time, -0.0 folded
+        std::uint64_t tag;  ///< seq << kSlotBits | slot
     };
+    static_assert(sizeof(Entry) == 16);
 
     /**
      * Callback storage for one pending event; reused via a free list.
@@ -167,19 +207,44 @@ class EventQueue
                   "Slot outgrew one cache line — rebalance "
                   "InlineCallback::kCapacity against the bookkeeping");
 
+    /// The whole entry as one integer; compares are branch-free.
+    __extension__ typedef unsigned __int128 Wide;
+
+    /**
+     * The heap key of a time. @pre time >= 0, so the sign bit is set
+     * only on -0.0, and clearing it folds -0.0 onto +0.0.
+     */
+    static std::uint64_t
+    keyOf(Time time)
+    {
+        return std::bit_cast<std::uint64_t>(time) & ~(std::uint64_t{1} << 63);
+    }
+
     /** Ordering: earlier time first, then earlier sequence. */
     static bool
-    later(const Entry& a, const Entry& b)
+    less(const Entry& a, const Entry& b)
     {
-        return a.time > b.time || (a.time == b.time && a.seq > b.seq);
+        return (Wide{a.key} << 64 | a.tag) < (Wide{b.key} << 64 | b.tag);
+    }
+
+    static std::uint32_t
+    slotOf(const Entry& entry)
+    {
+        return static_cast<std::uint32_t>(entry.tag & kSlotMask);
+    }
+
+    static std::uint64_t
+    seqOf(const Entry& entry)
+    {
+        return entry.tag >> kSlotBits;
     }
 
     /** True when `entry` still denotes a pending (uncancelled) event. */
     bool
     isLive(const Entry& entry) const
     {
-        const Slot& s = slots[entry.slot];
-        return s.live && s.seq == entry.seq;
+        const Slot& s = slots[slotOf(entry)];
+        return s.live && s.seq == seqOf(entry);
     }
 
     /** Shared push bookkeeping: everything except the callback. */
@@ -188,8 +253,10 @@ class EventQueue
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t index);
 
-    void siftUp(std::size_t index);
-    void siftDown(std::size_t index);
+    /** Place `moving` at `hole` or above it, but no higher than `top`. */
+    void siftUp(std::size_t hole, Entry moving, std::size_t top);
+    /** Move the hole down the smaller-child path; returns the leaf. */
+    std::size_t holeToLeaf(std::size_t hole);
     void removeTop();
     /** Drop tombstones off the heap top until the top is live. */
     void pruneTop();
@@ -248,14 +315,15 @@ inline EventId
 EventQueue::allocEntry(Time time)
 {
     BH_REQUIRE(time >= 0.0, "event scheduled at negative time");
-    const std::uint64_t seq = seqCounter++;
+    const std::uint64_t seq = checkedSeq(seqCounter++);
     const std::uint32_t slot = allocSlot();
     Slot& s = slots[slot];
     s.seq = seq;
     s.live = true;
     ++liveCount;
-    heap.push_back(Entry{time, seq, slot});
-    siftUp(heap.size() - 1);
+    const Entry entry{keyOf(time), seq << kSlotBits | slot};
+    heap.push_back(entry);
+    siftUp(heap.size() - 1, entry, 0);
     BH_AUDIT(ordered(), "heap order broken after push of t=", time);
     return EventId{seq, slot};
 }
@@ -278,69 +346,79 @@ EventQueue::pop()
     removeTop();
     pruneTop();
     BH_AUDIT(ordered(), "heap order broken after pop");
-    Slot& s = slots[top.slot];
-    Popped out{top.time, top.seq, std::move(s.callback)};
+    const Time time = std::bit_cast<Time>(top.key);
+    const std::uint32_t slot = slotOf(top);
+    Slot& s = slots[slot];
+    Popped out{time, seqOf(top), std::move(s.callback)};
     // A moved-from InlineCallback is valid-but-unspecified: it may still
     // own its captures. Destroy explicitly so the queue provably drops
     // every captured resource before the slot returns to the free list —
     // the same eager release cancel() performs.
     s.callback.reset();
     s.live = false;
-    freeSlot(top.slot);
+    freeSlot(slot);
     --liveCount;
     // Monotonic delivery is what makes runs bit-reproducible: once an
     // event at time t is handed out, nothing earlier may ever surface.
-    BH_INVARIANT(top.time >= lastPopped,
-                 "event times went backwards: popped t=", top.time,
-                 " after t=", lastPopped);
-    lastPopped = top.time;
+    BH_INVARIANT(time >= lastPopped, "event times went backwards: popped t=",
+                 time, " after t=", lastPopped);
+    lastPopped = time;
     return out;
 }
 
 inline void
-EventQueue::siftUp(std::size_t index)
+EventQueue::siftUp(std::size_t hole, Entry moving, std::size_t top)
 {
-    // Entries are small PODs, so hole percolation (shift, then place)
-    // beats the classic swap chain: one store per level instead of three.
-    const Entry moving = heap[index];
-    while (index > 0) {
-        const std::size_t parent = (index - 1) / 2;
-        if (!later(heap[parent], moving))
+    // Hole percolation (shift, then place): one store per level instead
+    // of a swap's three.
+    Entry* const h = heap.data();
+    while (hole > top) {
+        const std::size_t parent = (hole - 1) / 4;
+        if (!less(moving, h[parent]))
             break;
-        heap[index] = heap[parent];
-        index = parent;
+        h[hole] = h[parent];
+        hole = parent;
     }
-    heap[index] = moving;
+    h[hole] = moving;
 }
 
-inline void
-EventQueue::siftDown(std::size_t index)
+inline std::size_t
+EventQueue::holeToLeaf(std::size_t hole)
 {
+    Entry* const h = heap.data();
     const std::size_t n = heap.size();
-    const Entry moving = heap[index];
     while (true) {
-        const std::size_t left = 2 * index + 1;
-        if (left >= n)
-            break;
-        const std::size_t right = left + 1;
-        std::size_t smallest = left;
-        if (right < n && later(heap[left], heap[right]))
-            smallest = right;
-        if (!later(moving, heap[smallest]))
-            break;
-        heap[index] = heap[smallest];
-        index = smallest;
+        const std::size_t first = 4 * hole + 1;
+        if (first >= n)
+            return hole;
+        std::size_t child = first;
+        if (first + 4 <= n) {
+            // A full node: a two-round tournament the compiler turns
+            // into conditional moves.
+            const std::size_t third = first + 2;
+            const std::size_t a =
+                first + static_cast<std::size_t>(less(h[first + 1], h[first]));
+            const std::size_t b =
+                third + static_cast<std::size_t>(less(h[third + 1], h[third]));
+            child = less(h[b], h[a]) ? b : a;
+        } else {
+            for (std::size_t c = first + 1; c < n; ++c) {
+                if (less(h[c], h[child]))
+                    child = c;
+            }
+        }
+        h[hole] = h[child];
+        hole = child;
     }
-    heap[index] = moving;
 }
 
 inline void
 EventQueue::removeTop()
 {
-    heap.front() = heap.back();
+    const Entry last = heap.back();
     heap.pop_back();
     if (!heap.empty())
-        siftDown(0);
+        siftUp(holeToLeaf(0), last, 0);
 }
 
 inline void

@@ -97,6 +97,11 @@ bighouse_run)
         --resume ckpt.json
     "$bin" short.json --slaves 2 --resume ckpt.json 2>&1 \
         | grep -q "^resumed: " || fail "resume under the original config"
+    # The run-length valve is no part of the identity: the config
+    # without it resumes and runs to convergence.
+    sed 's/, "maxEvents": 200000//' short.json >unvalved.json
+    "$bin" unvalved.json --slaves 2 --resume ckpt.json 2>&1 \
+        | grep -q "^resumed: " || fail "resume without the event valve"
     ;;
 bh_campaign)
     "$bin" run "$campaign" --report report >/dev/null \

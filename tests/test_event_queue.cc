@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the event queue: ordering, FIFO tie-breaking, O(1)
- * cancellation with eager callback release, tombstone compaction, and
- * slot-table lifecycle.
+ * cancellation with eager callback release, tombstone compaction,
+ * slot-table lifecycle, and the guards on the heap tag's packed widths.
  */
 
 #include <gtest/gtest.h>
@@ -261,16 +261,30 @@ TEST(EventQueue, StressInterleavedPushPopCancel)
 
 TEST(EventQueueDeathTest, SlotIndexGuardDiesInsteadOfTruncating)
 {
-    // Below the sentinel the index passes through unchanged...
+    // Below the heap tag's 24-bit limit the index passes through
+    // unchanged...
     EXPECT_EQ(EventQueue::checkedSlotIndex(0), 0u);
-    EXPECT_EQ(EventQueue::checkedSlotIndex(0xFFFFFFFEu), 0xFFFFFFFEu);
-    // ...at or past it the old code silently wrapped to a low index,
-    // corrupting a live slot; now it must die loudly.
-    EXPECT_DEATH(EventQueue::checkedSlotIndex(0xFFFFFFFFu),
+    EXPECT_EQ(EventQueue::checkedSlotIndex(0xFFFFFFu), 0xFFFFFFu);
+    // ...at or past it the index would spill into the sequence bits (or
+    // wrap to a low slot), corrupting a live event; it must die loudly.
+    EXPECT_DEATH(EventQueue::checkedSlotIndex(0x1000000u),
                  "slot table exhausted");
     EXPECT_DEATH(
         EventQueue::checkedSlotIndex(std::size_t{1} << 32),
         "slot table exhausted");
+}
+
+TEST(EventQueueDeathTest, SeqGuardDiesInsteadOfTruncating)
+{
+    // The tag keeps 40 bits of sequence above the slot; the last push
+    // that fits passes through...
+    constexpr std::uint64_t kLimit = std::uint64_t{1} << 40;
+    EXPECT_EQ(EventQueue::checkedSeq(0), 0u);
+    EXPECT_EQ(EventQueue::checkedSeq(kLimit - 1), kLimit - 1);
+    // ...and the next would lose its top bit, so ties would stop popping
+    // in scheduling order.
+    EXPECT_DEATH(EventQueue::checkedSeq(kLimit),
+                 "sequence space exhausted");
 }
 
 TEST(EventQueueDeathTest, PopEmptyPanics)

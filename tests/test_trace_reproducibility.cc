@@ -6,9 +6,10 @@
  * not change *what* the simulator executes, only how fast. Two referees:
  *
  *  1. A model-based diff: a deliberately naive reference queue (ordered
- *     set over (time, seq)) replays the same randomized push/cancel/pop
- *     workload as EventQueue; the popped (time, seq) traces must match
- *     element for element. The reference implements the documented
+ *     set over (time, seq)) replays the same push/cancel/pop workload as
+ *     EventQueue (-0.0 ties, depths across 4-ary level boundaries, a
+ *     compaction, then random churn); the popped (time, seq) traces must
+ *     match element for element. The reference implements the documented
  *     semantics — min (time, seq), FIFO ties, cancel removes — with none
  *     of the production data structures, so any divergence is a real
  *     semantic change, not a shared bug.
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 #include <utility>
@@ -79,59 +81,132 @@ class ReferenceQueue
     std::uint64_t next = 0;
 };
 
-TEST(TraceReproducibility, QueueMatchesReferenceUnderRandomWorkload)
+/** EventQueue and ReferenceQueue driven in lockstep, pops recorded. */
+class Lockstep
 {
-    EventQueue queue;
-    ReferenceQueue reference;
-    Rng rng(2718);
+  public:
+    void
+    push(Time at)
+    {
+        const EventId id = queue.push(at, [] {});
+        const std::uint64_t seq = reference.push(at);
+        EXPECT_EQ(id.seq, seq);
+        pending.push_back({id, at, seq});
+        EXPECT_EQ(queue.size(), reference.size());
+    }
 
+    /** Cancel pending[pick] (it may have fired already) and forget it. */
+    void
+    cancel(std::size_t pick)
+    {
+        const Pending victim = pending[pick];
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+        EXPECT_EQ(queue.cancel(victim.id),
+                  reference.cancel(victim.time, victim.seq));
+        EXPECT_EQ(queue.size(), reference.size());
+    }
+
+    /** Pop from both; returns the popped time. */
+    Time
+    pop()
+    {
+        const auto popped = queue.pop();
+        queueTrace.emplace_back(popped.time, popped.seq);
+        referenceTrace.push_back(reference.pop());
+        EXPECT_EQ(queue.size(), reference.size());
+        return popped.time;
+    }
+
+    void
+    drain()
+    {
+        while (!queue.empty())
+            pop();
+        EXPECT_TRUE(reference.empty());
+    }
+
+    void
+    expectSameTraces() const
+    {
+        ASSERT_EQ(queueTrace.size(), referenceTrace.size());
+        for (std::size_t i = 0; i < queueTrace.size(); ++i) {
+            ASSERT_EQ(queueTrace[i], referenceTrace[i])
+                << "traces diverge at pop " << i;
+        }
+    }
+
+    EventQueue queue;
+    std::size_t pendingCount() const { return pending.size(); }
+
+  private:
     struct Pending
     {
         EventId id;
         Time time;
         std::uint64_t seq;
     };
+
+    ReferenceQueue reference;
     std::vector<Pending> pending;
     std::vector<TimeSeq> queueTrace;
     std::vector<TimeSeq> referenceTrace;
+};
 
-    double clock = 0.0;
+TEST(TraceReproducibility, QueueMatchesReferenceUnderRandomWorkload)
+{
+    Lockstep run;
+    Rng rng(2718);
+    // Coarse times force frequent (time, seq) FIFO tie-breaks.
+    const auto coarse = [&rng](Time from) {
+        return from + static_cast<double>(rng.below(8));
+    };
+
+    // -0.0 ties +0.0 and precedes the smallest positive time; a heap
+    // key that kept its sign bit would sort it after every positive time.
+    for (int i = 0; i < 8; ++i) {
+        run.push(i % 2 == 0 ? -0.0 : 0.0);
+        run.push(std::numeric_limits<double>::denorm_min());
+        run.push(1.0);
+    }
+    run.drain();
+    Time clock = 1.0;
+
+    // Depths on both sides of each 4-ary level boundary: 1, 5, 21, 85
+    // and 341 live entries are exactly full levels.
+    for (const std::size_t depth : {1u, 5u, 21u, 85u, 341u}) {
+        while (run.queue.size() < depth + 1)
+            run.push(coarse(clock));
+        for (int round = 0; round < 16; ++round) {
+            run.pop();
+            clock = run.pop();
+            run.push(coarse(clock));
+            run.push(coarse(clock));
+        }
+    }
+
+    // A cancel burst among the live entries buries enough tombstones to
+    // trigger compact() mid-run; the survivors it moves must still pop
+    // in order.
+    const std::uint64_t sweeps = run.queue.compactions();
+    const std::size_t burstStart = run.pendingCount();
+    for (int i = 0; i < 600; ++i)
+        run.push(coarse(clock));
+    for (int i = 0; i < 500; ++i)
+        run.cancel(burstStart + rng.below(run.pendingCount() - burstStart));
+    EXPECT_GT(run.queue.compactions(), sweeps);
+
+    // Random push/cancel/pop churn.
     for (int step = 0; step < 30000; ++step) {
         const double roll = rng.uniform01();
-        if (roll < 0.55 || queue.empty()) {
-            // Coarse times force frequent (time, seq) FIFO tie-breaks.
-            const Time at =
-                clock + static_cast<double>(rng.below(8));
-            const EventId id = queue.push(at, [] {});
-            const std::uint64_t seq = reference.push(at);
-            ASSERT_EQ(id.seq, seq);
-            pending.push_back({id, at, seq});
-        } else if (roll < 0.8 && !pending.empty()) {
-            const std::size_t pick = rng.below(pending.size());
-            const Pending victim = pending[pick];
-            pending.erase(pending.begin()
-                          + static_cast<std::ptrdiff_t>(pick));
-            ASSERT_EQ(queue.cancel(victim.id),
-                      reference.cancel(victim.time, victim.seq));
-        } else {
-            const auto popped = queue.pop();
-            queueTrace.emplace_back(popped.time, popped.seq);
-            referenceTrace.push_back(reference.pop());
-            clock = popped.time;
-        }
-        ASSERT_EQ(queue.size(), reference.size());
+        if (roll < 0.55 || run.queue.empty())
+            run.push(coarse(clock));
+        else if (roll < 0.8 && run.pendingCount() > 0)
+            run.cancel(rng.below(run.pendingCount()));
+        else
+            clock = run.pop();
     }
-    while (!queue.empty()) {
-        const auto popped = queue.pop();
-        queueTrace.emplace_back(popped.time, popped.seq);
-        referenceTrace.push_back(reference.pop());
-    }
-    EXPECT_TRUE(reference.empty());
-    ASSERT_EQ(queueTrace.size(), referenceTrace.size());
-    for (std::size_t i = 0; i < queueTrace.size(); ++i) {
-        ASSERT_EQ(queueTrace[i], referenceTrace[i])
-            << "traces diverge at pop " << i;
-    }
+    run.drain();
+    run.expectSameTraces();
 }
 
 /** One fig2_phases-style run; returns the dispatched (time, seq) trace. */

@@ -126,6 +126,25 @@ printEstimates(const std::vector<MetricEstimate>& estimates, bool csv)
                           : table.toText().c_str());
 }
 
+/**
+ * The identity a checkpoint carries: a hash of the resolved config minus
+ * the run-length valves `sqs.maxEvents` and `sqs.maxWallSeconds`. A
+ * resume needs the same model, seed and estimator targets, but a run a
+ * valve stopped may resume under another valve or none, and finish.
+ */
+std::string
+checkpointIdentity(const Config& config)
+{
+    JsonValue tree = config.root();
+    JsonValue::Object& root = tree.asObject();
+    if (const auto sqs = root.find("sqs");
+        sqs != root.end() && sqs->second.isObject()) {
+        sqs->second.asObject().erase("maxEvents");
+        sqs->second.asObject().erase("maxWallSeconds");
+    }
+    return "config-" + hashHex(fnv1a64(tree.dump()));
+}
+
 } // namespace
 
 int
@@ -366,9 +385,7 @@ main(int argc, char** argv)
     parallel.watchdogSeconds = watchdogSeconds;
     if (checkpointPath != nullptr)
         parallel.checkpointPath = checkpointPath;
-    // A checkpoint resumes only under the config that wrote it.
-    parallel.checkpointIdentity =
-        "config-" + hashHex(fnv1a64(config.root().dump()));
+    parallel.checkpointIdentity = checkpointIdentity(config);
 
     const auto trackLabel = [](std::size_t index, bool isMaster) {
         return isMaster ? std::string("master")
