@@ -15,12 +15,10 @@
 #include <memory>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "core/report.hh"
-#include "core/sqs.hh"
-#include "datacenter/cluster.hh"
 #include "distribution/basic.hh"
 #include "distribution/fit.hh"
-#include "queueing/source.hh"
 
 using namespace bighouse;
 
@@ -35,31 +33,20 @@ struct Outcome
 Outcome
 runDispatch(Dispatch policy, double rho)
 {
-    SqsConfig config;
-    config.accuracy = 0.03;
-    SqsSimulation sim(config, 4242);
-    const auto id = sim.addMetric("response_time");
+    // One central arrival stream feeding the balancer over 16 single-core
+    // servers; 10 ms tasks with Cv 1.5. Each server's share of the
+    // stream offers load rho (the source runs at 16x the per-server
+    // rate).
+    ExperimentSpec spec;
+    spec.workload.name = "dispatch";
+    spec.workload.interarrival = std::make_unique<Exponential>(rho / 0.010);
+    spec.workload.service = fitMeanCv(0.010, 1.5);
+    spec.servers = 16;
+    spec.coresPerServer = 1;
+    spec.dispatch = policy;
+    spec.sqs.accuracy = 0.03;
 
-    constexpr std::size_t kServers = 16;
-    auto cluster = std::make_shared<Cluster>(
-        sim.engine(), ClusterSpec{kServers, 1, policy},
-        sim.rootRng().split());
-    StatsCollection& stats = sim.stats();
-    cluster->setCompletionHandler([&stats, id](const Task& task) {
-        stats.record(id, task.responseTime());
-    });
-    // One central arrival stream feeding the balancer; 10 ms tasks with
-    // Cv 1.5, aggregate load rho across the cluster.
-    const double lambda = rho * static_cast<double>(kServers) / 0.010;
-    auto source = std::make_shared<Source>(
-        sim.engine(), cluster->intake(),
-        std::make_unique<Exponential>(lambda), fitMeanCv(0.010, 1.5),
-        sim.rootRng().split());
-    source->start();
-    sim.holdModel(cluster);
-    sim.holdModel(source);
-
-    const SqsResult result = sim.run();
+    const SqsResult result = Experiment(std::move(spec)).run(4242);
     return Outcome{result.estimates[0].mean * 1e3,
                    result.estimates[0].quantiles[0].value * 1e3};
 }

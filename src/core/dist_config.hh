@@ -1,6 +1,8 @@
 /**
  * @file
- * Distribution blocks in experiment configs (docs/failures.md):
+ * Distribution blocks in experiment configs: the workload's
+ * `interarrival` and `service`, and the failures block's `uptime` and
+ * `downtime` (docs/config_schema.md):
  *
  *   {"mean": M, "cv": c}                       two-moment fit (fitMeanCv)
  *   {"dist": "exponential",   "mean": M}

@@ -8,7 +8,6 @@
 #include "core/backend_select.hh"
 #include "core/dist_config.hh"
 #include "obs/timeline.hh"
-#include "distribution/fit.hh"
 #include "policy/powernap.hh"
 #include "queueing/ps_server.hh"
 #include "queueing/server.hh"
@@ -68,6 +67,8 @@ Experiment::Experiment(ExperimentSpec s)
 {
     if (spec.servers == 0)
         fatal("experiment needs at least one server");
+    if (spec.coresPerServer == 0)
+        fatal("experiment needs at least one core per server");
     if (!spec.workload.interarrival || !spec.workload.service)
         fatal("experiment workload is missing a distribution");
     if (spec.cpuSlowdown < 1.0)
@@ -146,6 +147,17 @@ struct Model
     std::vector<std::unique_ptr<Source>> sources;
     std::unique_ptr<PowerCappingCoordinator> coordinator;
     std::unique_ptr<FailureRuntime> failures;
+
+    /** Non-owning pointers to the FCFS servers, in index order. */
+    std::vector<Server*>
+    serverPointers() const
+    {
+        std::vector<Server*> pointers;
+        pointers.reserve(servers.size());
+        for (const auto& server : servers)
+            pointers.push_back(server.get());
+        return pointers;
+    }
 };
 
 } // namespace
@@ -310,12 +322,8 @@ Experiment::buildInto(SqsSimulation& sim) const
     if (spec.dispatch.has_value()) {
         // Central topology: one source at the cluster's aggregate rate
         // feeding a balancer over all (FCFS) servers.
-        std::vector<Server*> pointers;
-        pointers.reserve(model->servers.size());
-        for (const auto& server : model->servers)
-            pointers.push_back(server.get());
         model->balancer = std::make_unique<LoadBalancer>(
-            std::move(pointers), *spec.dispatch, sim.rootRng().split());
+            model->serverPointers(), *spec.dispatch, sim.rootRng().split());
         // With failures, the retry queue sits between source and
         // balancer; without, the source feeds the balancer directly and
         // the construction sequence is exactly the pre-failure one.
@@ -360,12 +368,8 @@ Experiment::buildInto(SqsSimulation& sim) const
     }
 
     if (spec.capping.has_value()) {
-        std::vector<Server*> pointers;
-        pointers.reserve(model->servers.size());
-        for (const auto& server : model->servers)
-            pointers.push_back(server.get());
         model->coordinator = std::make_unique<PowerCappingCoordinator>(
-            sim.engine(), std::move(pointers), *spec.capping);
+            sim.engine(), model->serverPointers(), *spec.capping);
         if (spec.recordCappingLevel || spec.recordServerPower) {
             // Epoch metrics are cluster-wide: one observation per epoch,
             // the per-server average. Aggregation is what gives large
@@ -481,12 +485,8 @@ Experiment::buildInto(SqsSimulation& sim) const
                 });
         }
         if (balancer != nullptr && fspec.detectionInterval > 0.0) {
-            std::vector<Server*> pointers;
-            pointers.reserve(model->servers.size());
-            for (const auto& server : model->servers)
-                pointers.push_back(server.get());
             runtime.checker = std::make_unique<HealthChecker>(
-                sim.engine(), *balancer, std::move(pointers),
+                sim.engine(), *balancer, model->serverPointers(),
                 fspec.detectionInterval);
             runtime.checker->start();
         }
@@ -582,14 +582,6 @@ Experiment::buildInto(SqsSimulation& sim) const
 }
 
 SqsResult
-Experiment::run(std::uint64_t seed) const
-{
-    SqsSimulation sim(spec.sqs, seed);
-    buildInto(sim);
-    return sim.run();
-}
-
-SqsResult
 Experiment::run(std::uint64_t seed,
                 const std::function<void(SqsSimulation&)>& instrument) const
 {
@@ -600,55 +592,73 @@ Experiment::run(std::uint64_t seed,
     return sim.run();
 }
 
-const std::vector<std::string_view>&
-Experiment::configKeys()
+namespace {
+
+/**
+ * Whether the config has a block at `path`. A present block must be an
+ * object, and under `strict` it may hold only `keys`.
+ */
+bool
+hasBlock(const Config& config, std::string_view path,
+         const std::vector<std::string_view>& keys, bool strict)
 {
-    static const std::vector<std::string_view> keys = {
-        "workload",   "cluster",     "serverModel", "dreamweaver",
-        "powernap",   "dispatch",    "loadFactor",  "cpuSlowdown",
-        "metrics",    "sqs",         "capping",     "failures",
-        "sim",        "timeline",
-    };
-    return keys;
+    const JsonValue* node = config.resolve(path);
+    if (node == nullptr)
+        return false;
+    if (!node->isObject())
+        fatal("config key '", path, "' must be an object");
+    if (strict)
+        rejectUnknownKeys(*node, keys, std::string(path) + " block");
+    return true;
 }
+
+} // namespace
 
 ExperimentSpec
 Experiment::specFromConfig(const Config& config, bool strict)
 {
-    if (strict)
-        rejectUnknownKeys(config.root(), configKeys(), "experiment config");
+    if (strict) {
+        rejectUnknownKeys(config.root(),
+                          {"workload", "cluster", "serverModel",
+                           "dreamweaver", "powernap", "dispatch",
+                           "loadFactor", "cpuSlowdown", "metrics", "sqs",
+                           "capping", "failures", "sim", "timeline"},
+                          "experiment config");
+    }
     ExperimentSpec spec;
 
-    // Workload: either a Table-1 name or explicit two-moment blocks.
+    // Workload: a Table-1 name, or a name plus interarrival and service
+    // distribution blocks (core/dist_config.hh).
     const JsonValue* workloadNode = config.resolve("workload");
     if (workloadNode != nullptr && workloadNode->isString()) {
         spec.workload = makeWorkload(workloadNode->asString());
-    } else if (config.has("workload.interarrival.mean")) {
+    } else if (hasBlock(config, "workload",
+                        {"name", "interarrival", "service"}, strict)) {
         spec.workload.name = config.getString("workload.name", "custom");
         spec.workload.interarrival =
-            fitMeanCv(config.requireDouble("workload.interarrival.mean"),
-                      config.requireDouble("workload.interarrival.cv"));
+            distFromConfig(config, "workload.interarrival", strict);
         spec.workload.service =
-            fitMeanCv(config.requireDouble("workload.service.mean"),
-                      config.requireDouble("workload.service.cv"));
+            distFromConfig(config, "workload.service", strict);
     } else {
-        fatal("config needs either a workload name or "
-              "workload.{interarrival,service}.{mean,cv}");
+        fatal("config needs either a workload name or a workload block "
+              "with interarrival and service distributions");
     }
 
+    hasBlock(config, "cluster", {"servers", "cores"}, strict);
     spec.servers =
         static_cast<std::size_t>(config.getInt("cluster.servers", 1));
     spec.coresPerServer =
         static_cast<unsigned>(config.getInt("cluster.cores", 4));
     spec.serverModel =
         parseServerModel(config.getString("serverModel", "fcfs"));
-    if (config.has("dreamweaver")) {
+    if (hasBlock(config, "dreamweaver", {"delayBudget", "wakeLatency"},
+                 strict)) {
         spec.dreamweaver.delayBudget =
             config.getDouble("dreamweaver.delayBudget", 0.01);
         spec.dreamweaver.sleep.wakeLatency =
             config.getDouble("dreamweaver.wakeLatency", 1e-3);
     }
-    if (config.has("powernap")) {
+    if (hasBlock(config, "powernap", {"wakeLatency"}, strict)) {
         spec.powernap.wakeLatency =
             config.getDouble("powernap.wakeLatency", 1e-3);
     }
@@ -657,17 +667,10 @@ Experiment::specFromConfig(const Config& config, bool strict)
     spec.loadFactor = config.getDouble("loadFactor", 1.0);
     spec.cpuSlowdown = config.getDouble("cpuSlowdown", 1.0);
 
-    if (config.has("failures")) {
-        const JsonValue* node = config.resolve("failures");
-        if (node == nullptr || !node->isObject())
-            fatal("config key 'failures' must be an object");
-        if (strict) {
-            static const std::vector<std::string_view> failureKeys = {
-                "uptime",        "downtime",      "disposition",
-                "detectionInterval", "probeInterval", "retry",
-            };
-            rejectUnknownKeys(*node, failureKeys, "failures block");
-        }
+    if (hasBlock(config, "failures",
+                 {"uptime", "downtime", "disposition", "detectionInterval",
+                  "probeInterval", "retry"},
+                 strict)) {
         FailureSpec failures;
         failures.uptime = distFromConfig(config, "failures.uptime", strict);
         failures.downtime =
@@ -678,18 +681,10 @@ Experiment::specFromConfig(const Config& config, bool strict)
             config.getDouble("failures.detectionInterval", 0.0);
         failures.probeInterval =
             config.getDouble("failures.probeInterval", 0.0);
-        if (config.has("failures.retry")) {
-            const JsonValue* retryNode = config.resolve("failures.retry");
-            if (retryNode == nullptr || !retryNode->isObject())
-                fatal("config key 'failures.retry' must be an object");
-            if (strict) {
-                static const std::vector<std::string_view> retryKeys = {
-                    "maxRetries",    "timeout",    "backoffBase",
-                    "backoffFactor", "backoffMax",
-                };
-                rejectUnknownKeys(*retryNode, retryKeys,
-                                  "failures.retry block");
-            }
+        if (hasBlock(config, "failures.retry",
+                     {"maxRetries", "timeout", "backoffBase",
+                      "backoffFactor", "backoffMax"},
+                     strict)) {
             failures.retry.maxRetries = static_cast<std::uint32_t>(
                 config.getInt("failures.retry.maxRetries", 0));
             failures.retry.timeout =
@@ -704,6 +699,10 @@ Experiment::specFromConfig(const Config& config, bool strict)
         spec.failures = std::move(failures);
     }
 
+    hasBlock(config, "metrics",
+             {"response", "waiting", "capping", "power", "availability",
+              "goodput", "downtime"},
+             strict);
     spec.recordResponseTime = config.getBool("metrics.response", true);
     spec.recordWaitingTime = config.getBool("metrics.waiting", false);
     spec.recordCappingLevel = config.getBool("metrics.capping", false);
@@ -717,6 +716,10 @@ Experiment::specFromConfig(const Config& config, bool strict)
     spec.recordGoodput = config.getBool("metrics.goodput", failing);
     spec.recordDowntime = config.getBool("metrics.downtime", false);
 
+    hasBlock(config, "sqs",
+             {"accuracy", "confidence", "warmup", "calibration", "quantile",
+              "maxEvents", "maxSimTime", "maxWallSeconds"},
+             strict);
     spec.sqs.accuracy = config.getDouble("sqs.accuracy", 0.05);
     spec.sqs.confidence = config.getDouble("sqs.confidence", 0.95);
     spec.sqs.warmupSamples = static_cast<std::uint64_t>(
@@ -731,30 +734,12 @@ Experiment::specFromConfig(const Config& config, bool strict)
     spec.sqs.maxWallSeconds = config.getDouble("sqs.maxWallSeconds", 0.0);
 
     // The sim block picks *what simulates* (see core/backend_select.hh).
-    if (config.has("sim")) {
-        const JsonValue* simNode = config.resolve("sim");
-        if (simNode == nullptr || !simNode->isObject())
-            fatal("config key 'sim' must be an object");
-        if (strict) {
-            static const std::vector<std::string_view> simKeys = {
-                "backend",
-            };
-            rejectUnknownKeys(*simNode, simKeys, "sim block");
-        }
+    if (hasBlock(config, "sim", {"backend"}, strict)) {
         spec.simBackend =
             simBackendFromName(config.getString("sim.backend", "auto"));
     }
 
-    if (config.has("timeline")) {
-        const JsonValue* node = config.resolve("timeline");
-        if (node == nullptr || !node->isObject())
-            fatal("config key 'timeline' must be an object");
-        if (strict) {
-            static const std::vector<std::string_view> timelineKeys = {
-                "window", "maxWindows",
-            };
-            rejectUnknownKeys(*node, timelineKeys, "timeline block");
-        }
+    if (hasBlock(config, "timeline", {"window", "maxWindows"}, strict)) {
         TimelineSpec timeline;
         timeline.window = config.getDouble("timeline.window", 1.0);
         timeline.maxWindows = static_cast<std::uint64_t>(
@@ -766,7 +751,10 @@ Experiment::specFromConfig(const Config& config, bool strict)
         spec.timeline = timeline;
     }
 
-    if (config.has("capping")) {
+    if (hasBlock(config, "capping",
+                 {"budgetFraction", "epoch", "idleWatts", "dynamicWatts",
+                  "alpha", "fMin"},
+                 strict)) {
         PowerCappingSpec capping;
         capping.budgetFraction =
             config.getDouble("capping.budgetFraction", 0.7);

@@ -147,37 +147,33 @@ class Experiment
     explicit Experiment(ExperimentSpec spec);
 
     /**
-     * Parse a spec from a JSON config (see docs/ and examples/ for the
-     * schema): workload by Table-1 name or explicit mean/cv moments,
-     * cluster shape, metric switches, sqs block, capping block.
+     * Parse a spec from a JSON config (docs/config_schema.md): workload
+     * by Table-1 name or by interarrival and service distribution
+     * blocks, cluster shape, metric switches, sqs block, capping block.
      *
-     * `strict` (the default) rejects unknown top-level keys, so a
-     * misspelled key — or a typo'd campaign sweep axis — fails fast
-     * instead of silently running the base configuration; pass false
-     * (the CLI's --lax) to accept and ignore unknown keys.
+     * `strict` (the default) rejects unknown keys at the top level and
+     * in every block, so a misspelled key — or a typo'd campaign sweep
+     * axis — fails fast instead of silently running the base
+     * configuration; pass false (the CLI's --lax) to accept and ignore
+     * unknown keys.
      */
     static ExperimentSpec specFromConfig(const Config& config,
                                          bool strict = true);
 
-    /** Top-level keys specFromConfig() understands (the strict schema). */
-    static const std::vector<std::string_view>& configKeys();
-
     /** Construct the model and metrics inside an existing simulation. */
     void buildInto(SqsSimulation& sim) const;
 
-    /** Build a fresh simulation, run to convergence, return the result. */
-    SqsResult run(std::uint64_t seed) const;
-
     /**
-     * Like run(seed), but invokes `instrument` on the fully built
-     * simulation before the event loop starts — the seam the
-     * observability layer uses to attach trace buffers, batch observers
-     * and convergence recorders. The instrument must not perturb model
-     * state or RNG streams if bit-identical results are expected.
+     * Build a fresh simulation, run to convergence, return the result.
+     * A set `instrument` is invoked on the fully built simulation before
+     * the event loop starts — the seam the observability layer uses to
+     * attach trace buffers, batch observers and convergence recorders.
+     * The instrument must not perturb model state or RNG streams if
+     * bit-identical results are expected.
      */
     SqsResult run(std::uint64_t seed,
-                  const std::function<void(SqsSimulation&)>& instrument)
-        const;
+                  const std::function<void(SqsSimulation&)>& instrument =
+                      {}) const;
 
     const ExperimentSpec& specification() const { return spec; }
 

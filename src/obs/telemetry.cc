@@ -41,10 +41,18 @@ telemetryCounterName(TelemetryCounter counter)
         return "failures.tasksDropped";
       case TelemetryCounter::TasksRequeued:
         return "failures.tasksRequeued";
+      case TelemetryCounter::TasksRejected:
+        return "failures.tasksRejected";
       case TelemetryCounter::TasksRetried:
         return "failures.tasksRetried";
       case TelemetryCounter::TasksLost:
         return "failures.tasksLost";
+      case TelemetryCounter::TasksCompletedOk:
+        return "failures.tasksCompletedOk";
+      case TelemetryCounter::TasksTimedOut:
+        return "failures.tasksTimedOut";
+      case TelemetryCounter::StaleCompletions:
+        return "failures.staleCompletions";
       case TelemetryCounter::BackendsEjected:
         return "failures.backendsEjected";
       case TelemetryCounter::BackendsReadmitted:
@@ -175,8 +183,16 @@ sampleFailureTelemetry(TelemetrySlab& slab, const FailureTotals& totals)
     slab.set(TelemetryCounter::TasksDropped, totals.counters.tasksDropped);
     slab.set(TelemetryCounter::TasksRequeued,
              totals.counters.tasksRequeued);
+    slab.set(TelemetryCounter::TasksRejected,
+             totals.counters.tasksRejected);
     slab.set(TelemetryCounter::TasksRetried, totals.counters.tasksRetried);
     slab.set(TelemetryCounter::TasksLost, totals.counters.tasksLost);
+    slab.set(TelemetryCounter::TasksCompletedOk,
+             totals.counters.tasksCompletedOk);
+    slab.set(TelemetryCounter::TasksTimedOut,
+             totals.counters.tasksTimedOut);
+    slab.set(TelemetryCounter::StaleCompletions,
+             totals.counters.staleCompletions);
     slab.set(TelemetryCounter::BackendsEjected,
              totals.counters.backendsEjected);
     slab.set(TelemetryCounter::BackendsReadmitted,

@@ -58,8 +58,12 @@ enum class TelemetryCounter
     RepairsCompleted,   ///< failures.repaired (server Down -> Up edges)
     TasksDropped,       ///< failures.tasksDropped (lost to Drop crashes)
     TasksRequeued,      ///< failures.tasksRequeued (demoted by Requeue)
+    TasksRejected,      ///< failures.tasksRejected (bounced off a down server)
     TasksRetried,       ///< failures.tasksRetried (retry-path re-offers)
     TasksLost,          ///< failures.tasksLost (terminally lost)
+    TasksCompletedOk,   ///< failures.tasksCompletedOk (terminal successes)
+    TasksTimedOut,      ///< failures.tasksTimedOut (client timeouts fired)
+    StaleCompletions,   ///< failures.staleCompletions (abandoned attempts)
     BackendsEjected,    ///< failures.backendsEjected (balancer health)
     BackendsReadmitted, ///< failures.backendsReadmitted
     RecurrenceTasks,    ///< sim.recurrenceTasks (0 under the DES)
@@ -156,8 +160,8 @@ void sampleStatsTelemetry(TelemetrySlab& slab,
                           const StatsCollection& stats);
 
 /**
- * Pull a run's failure totals into a slab (absolute values, idempotent
- * per instant). Serial runs sample once at the end; parallel runs
+ * Pull a run's failure totals into a slab, one cell per FailureCounters
+ * field (absolute values, idempotent per instant). Serial runs sample once at the end; parallel runs
  * sample each slave's totals from ParallelConfig::onSlaveDone, so the
  * registry's cross-slab totals carry the ensemble counters.
  */

@@ -72,6 +72,33 @@ bighouse_run)
         || fail "--dry-run does not name the report directory"
     [ ! -e planned ] || fail "--dry-run created the report directory"
 
+    # --dry-run names the backend that would run and each server's
+    # offered load at full speed; a DES run says what blocks the
+    # recurrence.
+    "$bin" "$configs/google_leaf.json" --dry-run >leaf.txt \
+        || fail "--dry-run google_leaf.json"
+    grep -q "^  backend: recurrence$" leaf.txt \
+        || fail "--dry-run does not name the recurrence backend"
+    grep -q "^  offered load per server at full speed: 0.7488 = " leaf.txt \
+        || fail "--dry-run does not print the offered load"
+    "$bin" "$configs/jsq_cluster.json" --dry-run >jsq.txt \
+        || fail "--dry-run jsq_cluster.json"
+    grep -q "^  backend: des$" jsq.txt \
+        || fail "--dry-run does not name the DES backend"
+    grep -q "^    not the recurrence: dispatch: " jsq.txt \
+        || fail "--dry-run does not name what blocks the recurrence"
+
+    # --dry-run applies the same cross-key checks a run does.
+    sed 's/"cluster"/"serverModel": "ps", "capping": {}, "cluster"/' \
+        "$smoke" >mismatch.json
+    must_fail "requires the FCFS server model" "$bin" mismatch.json --dry-run
+
+    # Strict parsing reaches nested blocks; --lax ignores the same typo.
+    sed 's/"accuracy"/"warmupp": 10, "accuracy"/' "$smoke" >typo.json
+    must_fail "unknown key 'warmupp' in sqs block" "$bin" typo.json --dry-run
+    "$bin" typo.json --dry-run --lax >/dev/null \
+        || fail "--lax does not ignore an unknown sqs key"
+
     must_fail --report "$bin" "$smoke" --replications 3 --report r
     must_fail --progress "$bin" "$smoke" --replications 3 --progress
     # The per-file output flags --report replaced hit the usage error,

@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for the load balancer disciplines and the Cluster aggregate.
+ * Tests for the load balancer disciplines.
  */
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
-#include "datacenter/cluster.hh"
-#include "distribution/basic.hh"
-#include "queueing/source.hh"
+#include "datacenter/load_balancer.hh"
+#include "queueing/server.hh"
 #include "sim/engine.hh"
 
 namespace bighouse {
@@ -74,53 +71,6 @@ TEST(LoadBalancer, JsqPrefersShortestQueue)
     EXPECT_EQ(b.outstanding(), 2u);
     lb.accept(makeTask(3, 0.0, 1.0));  // tie at 2: first minimum wins (a)
     EXPECT_EQ(a.outstanding(), 3u);
-}
-
-TEST(Cluster, ConstructionAndWiring)
-{
-    Engine sim;
-    Cluster cluster(sim, ClusterSpec{8, 4, Dispatch::RoundRobin}, Rng(4));
-    EXPECT_EQ(cluster.size(), 8u);
-    EXPECT_EQ(cluster.server(0).coreCount(), 4u);
-    EXPECT_EQ(cluster.serverPointers().size(), 8u);
-}
-
-TEST(Cluster, CompletionsFlowThroughSharedHandler)
-{
-    Engine sim;
-    Cluster cluster(sim, ClusterSpec{4, 2, Dispatch::RoundRobin}, Rng(5));
-    std::uint64_t completions = 0;
-    cluster.setCompletionHandler([&](const Task&) { ++completions; });
-    Source source(sim, cluster.intake(),
-                  std::make_unique<Exponential>(50.0),
-                  std::make_unique<Exponential>(100.0), Rng(6));
-    source.start();
-    sim.schedule(20.0, [&] { source.stop(); });
-    sim.run();
-    EXPECT_EQ(completions, source.generated());
-    EXPECT_EQ(cluster.totalCompleted(), completions);
-    EXPECT_EQ(cluster.totalOutstanding(), 0u);
-}
-
-TEST(Cluster, AverageUtilizationMatchesOfferedLoad)
-{
-    Engine sim;
-    Cluster cluster(sim, ClusterSpec{4, 2, Dispatch::Random}, Rng(7));
-    // Aggregate load: arrivals 80/s, mean size 50 ms -> 4 core-equivalents
-    // across 8 cores -> 50% utilization.
-    Source source(sim, cluster.intake(),
-                  std::make_unique<Exponential>(80.0),
-                  std::make_unique<Exponential>(20.0), Rng(8));
-    source.start();
-    sim.runUntil(200.0);
-    EXPECT_NEAR(cluster.averageUtilization(200.0), 0.5, 0.05);
-}
-
-TEST(ClusterDeathTest, InvalidSpecs)
-{
-    Engine sim;
-    EXPECT_EXIT(Cluster(sim, ClusterSpec{0, 4, Dispatch::Random}, Rng(9)),
-                ::testing::ExitedWithCode(1), "at least one");
 }
 
 } // namespace

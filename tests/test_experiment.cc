@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "distribution/fit.hh"
 #include "workload/library.hh"
 
 namespace bighouse {
@@ -317,6 +318,36 @@ TEST(Experiment, SpecFromConfigCustomMoments)
     EXPECT_NEAR(spec.workload.service->cv(), 2.0, 1e-6);
 }
 
+TEST(Experiment, WorkloadBlocksUseTheDistributionGrammar)
+{
+    // Without "dist" a block is the fitMeanCv two-moment fit; with one
+    // it takes any family the failures block takes.
+    const Config config = Config::fromString(R"({
+        "workload": {
+            "interarrival": {"dist": "deterministic", "value": 0.01},
+            "service": {"dist": "weibull", "mean": 0.005, "shape": 0.5}
+        }
+    })");
+    const ExperimentSpec spec = Experiment::specFromConfig(config);
+    EXPECT_EQ(spec.workload.name, "custom");
+    EXPECT_DOUBLE_EQ(spec.workload.interarrival->mean(), 0.01);
+    EXPECT_DOUBLE_EQ(spec.workload.interarrival->variance(), 0.0);
+    EXPECT_NEAR(spec.workload.service->mean(), 0.005, 1e-12);
+    EXPECT_GT(spec.workload.service->cv(), 2.0);
+
+    const Config moments = Config::fromString(R"({
+        "workload": {
+            "interarrival": {"mean": 0.01, "cv": 0.5},
+            "service": {"mean": 0.02, "cv": 2.0}
+        }
+    })");
+    const ExperimentSpec fitted = Experiment::specFromConfig(moments);
+    EXPECT_EQ(fitted.workload.interarrival->describe(),
+              fitMeanCv(0.01, 0.5)->describe());
+    EXPECT_EQ(fitted.workload.service->describe(),
+              fitMeanCv(0.02, 2.0)->describe());
+}
+
 TEST(Experiment, SpecCloneIsDeep)
 {
     const ExperimentSpec spec = googleSpec();
@@ -341,6 +372,16 @@ TEST(ExperimentDeathTest, InvalidSpecs)
     powerWithoutBlock.recordServerPower = true;
     EXPECT_EXIT(Experiment{std::move(powerWithoutBlock)},
                 ::testing::ExitedWithCode(1), "power model");
+
+    ExperimentSpec noServers = googleSpec();
+    noServers.servers = 0;
+    EXPECT_EXIT(Experiment{std::move(noServers)},
+                ::testing::ExitedWithCode(1), "at least one server");
+
+    ExperimentSpec noCores = googleSpec();
+    noCores.coresPerServer = 0;
+    EXPECT_EXIT(Experiment{std::move(noCores)},
+                ::testing::ExitedWithCode(1), "at least one core");
 
     ExperimentSpec badSlowdown = googleSpec();
     badSlowdown.cpuSlowdown = 0.5;

@@ -14,6 +14,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dist_config.hh"
@@ -472,7 +473,7 @@ TEST(RetryQueueTest, FreshCompletionResolvesOk)
 
 /** A failing 4-server cluster: MTBF 10s, MTTR 2s -> availability 5/6. */
 ExperimentSpec
-failingClusterSpec()
+failingExperimentSpec()
 {
     const Config config = Config::fromString(R"({
         "workload": {
@@ -495,7 +496,7 @@ failingClusterSpec()
 
 TEST(FailureExperiment, SpecFromConfigParsesFailuresBlock)
 {
-    const ExperimentSpec spec = failingClusterSpec();
+    const ExperimentSpec spec = failingExperimentSpec();
     ASSERT_TRUE(spec.failures.has_value());
     EXPECT_NEAR(spec.failures->uptime->mean(), 10.0, 1e-12);
     EXPECT_NEAR(spec.failures->downtime->mean(), 2.0, 1e-12);
@@ -528,13 +529,13 @@ TEST(FailureExperiment, DistributionBlocksCoverEveryFamily)
 TEST(FailureExperimentDeathTest, InvalidSpecs)
 {
     // Failure metrics without a failures block.
-    ExperimentSpec orphanMetric = failingClusterSpec();
+    ExperimentSpec orphanMetric = failingExperimentSpec();
     orphanMetric.failures.reset();
     EXPECT_EXIT(Experiment{std::move(orphanMetric)},
                 ::testing::ExitedWithCode(1), "require a failures");
 
     // Failures demand the FCFS server model.
-    ExperimentSpec wrongModel = failingClusterSpec();
+    ExperimentSpec wrongModel = failingExperimentSpec();
     wrongModel.dispatch.reset();
     wrongModel.serverModel = ServerModel::ProcessorSharing;
     EXPECT_EXIT(Experiment{std::move(wrongModel)},
@@ -579,6 +580,64 @@ TEST(FailureExperimentDeathTest, InvalidSpecs)
         Experiment::specFromConfig(stray, false).failures->uptime->mean(),
         10.0, 1e-12);
 
+    // Every block is strict: one misspelled key per block dies naming
+    // the key and its block, and lax loading ignores it.
+    struct Typo
+    {
+        const char* json;   ///< the config's members, one key misspelled
+        const char* key;    ///< the misspelled key
+        const char* block;  ///< the block the message names
+    };
+    const std::vector<Typo> typos = {
+        {R"("workload": {"name": "google", "extra": 1,
+                         "interarrival": {"mean": 0.01, "cv": 1.0},
+                         "service": {"mean": 0.005, "cv": 1.0}})",
+         "extra", "workload"},
+        {R"("workload": {"name": "google",
+                         "interarrival": {"dist": "deterministic",
+                                          "value": 0.01, "mean": 0.01},
+                         "service": {"mean": 0.005, "cv": 1.0}})",
+         "mean", "workload.interarrival"},
+        {R"("workload": {"name": "google",
+                         "interarrival": {"mean": 0.01, "cv": 1.0},
+                         "service": {"mean": 0.005, "cv": 1.0,
+                                     "shpe": 2.0}})",
+         "shpe", "workload.service"},
+        {R"("workload": "google", "cluster": {"servers": 2, "typo": 1})",
+         "typo", "cluster"},
+        {R"("workload": "google", "metrics": {"waitng": true})", "waitng",
+         "metrics"},
+        {R"("workload": "google", "sqs": {"warmupp": 10})", "warmupp",
+         "sqs"},
+        {R"("workload": "google", "capping": {"budgetFracton": 0.5})",
+         "budgetFracton", "capping"},
+        {R"("workload": "google", "dreamweaver": {"delayBudgt": 0.02})",
+         "delayBudgt", "dreamweaver"},
+        {R"("workload": "google", "powernap": {"wakeLatncy": 0.002})",
+         "wakeLatncy", "powernap"},
+        {R"("workload": "google", "sim": {"backnd": "des"})", "backnd",
+         "sim"},
+        {R"("workload": "google", "timeline": {"windw": 2.0})", "windw",
+         "timeline"},
+        {R"("workload": "google",
+            "failures": {"uptime": {"mean": 10.0, "cv": 1.0},
+                         "downtime": {"mean": 2.0, "cv": 1.0},
+                         "retry": {"maxRetry": 2}})",
+         "maxRetry", "failures.retry"},
+    };
+    for (const Typo& entry : typos) {
+        const Config config =
+            Config::fromString(std::string("{") + entry.json + "}");
+        EXPECT_EXIT(Experiment::specFromConfig(config),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown key '") + entry.key + "' in "
+                        + entry.block + " block")
+            << entry.block;
+        EXPECT_EQ(Experiment::specFromConfig(config, false).workload.name,
+                  "google")
+            << entry.block;
+    }
+
     // The retired engine block is an unknown top-level key like any
     // other: strict loading names it, lax loading ignores it.
     const Config engine = Config::fromString(R"({
@@ -593,7 +652,7 @@ TEST(FailureExperimentDeathTest, InvalidSpecs)
 TEST(FailureExperiment, AvailabilityMatchesBreakdownAnalysis)
 {
     const SqsResult result =
-        Experiment(failingClusterSpec()).run(11);
+        Experiment(failingExperimentSpec()).run(11);
     ASSERT_TRUE(result.converged);
 
     // MTBF/(MTBF+MTTR) = 10/12.
@@ -630,7 +689,7 @@ TEST(FailureExperiment, AvailabilityMatchesBreakdownAnalysis)
 
 TEST(FailureExperiment, SameSeedRunsAreBitIdentical)
 {
-    const Experiment experiment(failingClusterSpec());
+    const Experiment experiment(failingExperimentSpec());
     const SqsResult a = experiment.run(77);
     const SqsResult b = experiment.run(77);
     EXPECT_EQ(a.events, b.events);
@@ -687,7 +746,7 @@ TEST(FailureExperiment, DisabledPathPinnedToPreFailureGolden)
 
 TEST(FailureExperiment, TotalsSurviveJsonRoundTrip)
 {
-    SqsResult result = Experiment(failingClusterSpec()).run(5);
+    SqsResult result = Experiment(failingExperimentSpec()).run(5);
     ASSERT_TRUE(result.failures.has_value());
     const SqsResult back = resultFromJson(resultToJson(result));
     ASSERT_TRUE(back.failures.has_value());
@@ -721,7 +780,7 @@ TEST(FailureExperiment, TotalsSurviveJsonRoundTrip)
 TEST(ParallelFailures, MergedTotalsSumSlaves)
 {
     auto experiment =
-        std::make_shared<Experiment>(failingClusterSpec());
+        std::make_shared<Experiment>(failingExperimentSpec());
     ParallelConfig cfg;
     cfg.slaves = 3;
     cfg.sqs = experiment->specification().sqs;
@@ -735,7 +794,7 @@ TEST(ParallelFailures, MergedTotalsSumSlaves)
 
     // The ensemble is the 3 slaves (the master runs no events); a single
     // serial run of the same model bounds their sum from below.
-    const SqsResult serial = Experiment(failingClusterSpec()).run(31);
+    const SqsResult serial = Experiment(failingExperimentSpec()).run(31);
     ASSERT_TRUE(serial.failures.has_value());
     EXPECT_GT(totals.counters.failuresInjected,
               serial.failures->counters.failuresInjected);

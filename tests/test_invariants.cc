@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "datacenter/fanout.hh"
+#include "datacenter/load_balancer.hh"
 #include "distribution/basic.hh"
 #include "distribution/compose.hh"
 #include "distribution/fit.hh"
@@ -86,6 +87,40 @@ TEST(Invariants, FcfsServerConservesTasks)
     EXPECT_EQ(server.outstanding(), 0u);
     EXPECT_TRUE(checked.timestampsSane);
     // With slowdown phases, busy time must be at least the raw demand.
+    EXPECT_GE(checked.totalBusyTime, checked.totalSize - 1e-6);
+}
+
+TEST(Invariants, LoadBalancerConservesTasks)
+{
+    // Every generated task completes through the balancer, and the
+    // per-server completions add up to the total.
+    Engine sim;
+    std::vector<std::unique_ptr<Server>> servers;
+    std::vector<Server*> pointers;
+    for (int i = 0; i < 4; ++i) {
+        servers.push_back(std::make_unique<Server>(sim, 1));
+        pointers.push_back(servers.back().get());
+    }
+    LoadBalancer balancer(pointers, Dispatch::JoinShortestQueue, Rng(11));
+    Checked checked;
+    for (Server* server : pointers)
+        server->setCompletionHandler(checked.handler());
+    const std::uint64_t generated = exercise(
+        sim, balancer,
+        [&](double s) {
+            for (Server* server : pointers)
+                server->setSpeed(s);
+        },
+        12);
+    EXPECT_EQ(checked.completions, generated);
+    EXPECT_EQ(balancer.routedCount(), generated);
+    std::uint64_t completed = 0;
+    for (Server* server : pointers) {
+        completed += server->completedCount();
+        EXPECT_EQ(server->outstanding(), 0u);
+    }
+    EXPECT_EQ(completed, generated);
+    EXPECT_TRUE(checked.timestampsSane);
     EXPECT_GE(checked.totalBusyTime, checked.totalSize - 1e-6);
 }
 

@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "obs/status.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
+#include "queueing/failure.hh"
 #include "queueing/server.hh"
 #include "queueing/source.hh"
 
@@ -260,6 +262,59 @@ TEST(TelemetryTest, SampledCountersMatchTheFinishedRun)
         offered += estimate.offered;
     EXPECT_EQ(slab.value(TelemetryCounter::SamplesOffered), offered);
     EXPECT_GT(slab.value(TelemetryCounter::BatchesObserved), 0u);
+}
+
+TEST(TelemetryTest, EveryFailureCounterReachesItsOwnCell)
+{
+    // Distinct nonzero values: a field written to the wrong cell, or to
+    // none, shows up as a mismatch.
+    FailureTotals totals;
+    FailureCounters& c = totals.counters;
+    c.failuresInjected = 1;
+    c.repairsCompleted = 2;
+    c.tasksDropped = 3;
+    c.tasksRequeued = 4;
+    c.tasksRejected = 5;
+    c.tasksRetried = 6;
+    c.tasksLost = 7;
+    c.tasksCompletedOk = 8;
+    c.tasksTimedOut = 9;
+    c.staleCompletions = 10;
+    c.backendsEjected = 11;
+    c.backendsReadmitted = 12;
+    TelemetryRegistry registry;
+    sampleFailureTelemetry(registry.slab("serial"), totals);
+
+    const std::vector<std::pair<const char*, std::uint64_t>> expected = {
+        {"failures.injected", c.failuresInjected},
+        {"failures.repaired", c.repairsCompleted},
+        {"failures.tasksDropped", c.tasksDropped},
+        {"failures.tasksRequeued", c.tasksRequeued},
+        {"failures.tasksRejected", c.tasksRejected},
+        {"failures.tasksRetried", c.tasksRetried},
+        {"failures.tasksLost", c.tasksLost},
+        {"failures.tasksCompletedOk", c.tasksCompletedOk},
+        {"failures.tasksTimedOut", c.tasksTimedOut},
+        {"failures.staleCompletions", c.staleCompletions},
+        {"failures.backendsEjected", c.backendsEjected},
+        {"failures.backendsReadmitted", c.backendsReadmitted},
+    };
+    // One cell per FailureCounters field, and no field left out.
+    static_assert(sizeof(FailureCounters) == 12 * sizeof(std::uint64_t));
+    const JsonValue doc = registry.snapshot();
+    const JsonValue* totalsJson = doc.find("totals");
+    ASSERT_NE(totalsJson, nullptr);
+    std::size_t failureCells = 0;
+    for (const auto& entry : totalsJson->asObject()) {
+        if (entry.first.rfind("failures.", 0) == 0)
+            ++failureCells;
+    }
+    EXPECT_EQ(failureCells, expected.size());
+    for (const auto& [name, value] : expected) {
+        const JsonValue* cell = totalsJson->find(name);
+        ASSERT_NE(cell, nullptr) << name;
+        EXPECT_EQ(cell->asNumber(), static_cast<double>(value)) << name;
+    }
 }
 
 TEST(TelemetryTest, WriteIsAtomicAndParseable)

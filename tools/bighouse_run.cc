@@ -11,9 +11,11 @@
  *                [--checkpoint file.json] [--resume file.json]
  *                [--dry-run] [--lax] [--version]
  *
- * --dry-run parses and validates the config, prints what would run, and
- * exits without simulating or creating anything. Config keys outside the
- * known schema are a hard error unless --lax is given.
+ * --dry-run parses and validates the config, prints what would run (the
+ * resolved backend, and why not the recurrence when it is the DES; each
+ * server's offered load at full speed), and exits without simulating or
+ * creating anything. Config keys outside the known schema, in any block,
+ * are a hard error unless --lax is given.
  *
  * With --slaves K the measurement phase is split across K in-process
  * slave simulations with unique seeds and merged histograms (Fig. 3).
@@ -50,6 +52,7 @@
 #include "base/logging.hh"
 #include "base/strings.hh"
 #include "config/config.hh"
+#include "core/backend_select.hh"
 #include "core/experiment.hh"
 #include "core/replications.hh"
 #include "core/report.hh"
@@ -236,6 +239,8 @@ main(int argc, char** argv)
     }
 
     if (dryRun) {
+        // The constructor's cross-key checks, as a run would apply them.
+        const Experiment validated(spec.clone());
         const char* model = "fcfs";
         switch (spec.serverModel) {
           case ServerModel::Fcfs: model = "fcfs"; break;
@@ -253,6 +258,26 @@ main(int argc, char** argv)
                     "loadFactor %.6g\n",
                     spec.servers, spec.coresPerServer, model,
                     spec.loadFactor);
+        // Per server at full speed; with `dispatch` the one source runs
+        // at the server count times the rate, so the share is the same.
+        const double gap = spec.workload.interarrival->mean();
+        const double demand = spec.workload.service->mean();
+        std::printf("  offered load per server at full speed: %.4g = "
+                    "loadFactor %.6g x E[S] %.6g s x cpuSlowdown %.6g / "
+                    "(E[gap] %.6g s x %u cores)\n",
+                    spec.loadFactor * demand * spec.cpuSlowdown
+                        / (gap * spec.coresPerServer),
+                    spec.loadFactor, demand, spec.cpuSlowdown, gap,
+                    spec.coresPerServer);
+        const SimBackend backend = resolveSimBackend(spec);
+        std::printf("  backend: %s%s\n", simBackendName(backend),
+                    spec.simBackend == SimBackend::Auto ? ""
+                                                        : " (sim.backend)");
+        if (backend == SimBackend::Des) {
+            for (const std::string& blocker :
+                 analyzeRecurrenceEligibility(spec).blockers)
+                std::printf("    not the recurrence: %s\n", blocker.c_str());
+        }
         std::printf("  sqs: accuracy %.6g, confidence %.6g, seed %llu, "
                     "%s\n",
                     spec.sqs.accuracy, spec.sqs.confidence,
