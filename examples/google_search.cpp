@@ -44,6 +44,14 @@ main(int argc, char** argv)
         spec.coresPerServer = kCores;
         spec.cpuSlowdown = scpu;
         spec.sqs.accuracy = 0.05;
+        // At rho >= 1 the queue grows without bound: there is no steady
+        // state to estimate, and the Experiment constructor rejects it.
+        const double rho = offeredLoad(spec);
+        if (rho >= 1.0) {
+            table.addRow({formatG(scpu, 3), "saturated (rho " +
+                          formatG(rho, 3) + ")", "-", "-", "-"});
+            continue;
+        }
         const SqsResult result = Experiment(std::move(spec)).run(1234);
         const MetricEstimate& est = result.estimates[0];
         table.addRow({formatG(scpu, 3),

@@ -196,9 +196,12 @@ expandCampaign(const CampaignSpec& spec, bool strict)
         SweepPoint& point = points[i];
         point.index = i;
         // A typo'd axis path (say "loadfactor") lands here as an unknown
-        // top-level key in the resolved config and fails the whole
-        // campaign before any point simulates.
-        (void)Experiment::specFromConfig(Config(point.config), strict);
+        // top-level key in the resolved config, and a point the
+        // constructor's cross-key checks reject (say capping on a PS
+        // server, or rho >= 1) fails here too: the whole campaign stops
+        // before any point simulates or anything is written.
+        const Experiment validated(
+            Experiment::specFromConfig(Config(point.config), strict));
         const std::string content =
             canonicalPointKey(point.config, 0, point.slaves);
         point.seed = derivePointSeed(spec.seed, fnv1a64(content));

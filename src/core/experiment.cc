@@ -7,6 +7,7 @@
 #include "base/strings.hh"
 #include "core/backend_select.hh"
 #include "core/dist_config.hh"
+#include "core/report.hh"
 #include "obs/timeline.hh"
 #include "policy/powernap.hh"
 #include "queueing/ps_server.hh"
@@ -120,6 +121,32 @@ Experiment::Experiment(ExperimentSpec s)
         && !spec.recordDowntime) {
         fatal("experiment records no metrics; nothing to converge on");
     }
+    // Written so that a NaN load (zero work at an infinite rate) fails
+    // too.
+    if (!(offeredLoad(spec) < 1.0))
+        fatal("offered load per server at full speed is ",
+              describeOfferedLoad(spec),
+              ", not below 1: the queue has no steady state, so no "
+              "estimate can converge; lower loadFactor or cpuSlowdown, or "
+              "add cores");
+}
+
+double
+offeredLoad(const ExperimentSpec& spec)
+{
+    return spec.loadFactor * spec.workload.service->mean() * spec.cpuSlowdown
+           / (spec.workload.interarrival->mean() * spec.coresPerServer);
+}
+
+std::string
+describeOfferedLoad(const ExperimentSpec& spec)
+{
+    return formatG(offeredLoad(spec), 4) + " = loadFactor "
+           + formatG(spec.loadFactor) + " x E[S] "
+           + formatG(spec.workload.service->mean()) + " s x cpuSlowdown "
+           + formatG(spec.cpuSlowdown) + " / (E[gap] "
+           + formatG(spec.workload.interarrival->mean()) + " s x "
+           + std::to_string(spec.coresPerServer) + " cores)";
 }
 
 namespace {

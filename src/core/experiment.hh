@@ -181,6 +181,20 @@ class Experiment
     ExperimentSpec spec;
 };
 
+/**
+ * One server's offered load at full speed:
+ *     rho = loadFactor * E[S] * cpuSlowdown / (E[gap] * cores).
+ * With `dispatch` the one source runs at the server count times the
+ * per-server rate, so each server's share is the same. The Experiment
+ * constructor rejects rho >= 1. Capping, DreamWeaver delays and failures
+ * only take capacity away, so rho < 1 is necessary for a steady state,
+ * not sufficient.
+ */
+double offeredLoad(const ExperimentSpec& spec);
+
+/** "0.75 = loadFactor 0.7 x E[S] ... x 16 cores)": rho and its terms. */
+std::string describeOfferedLoad(const ExperimentSpec& spec);
+
 } // namespace bighouse
 
 #endif // BIGHOUSE_CORE_EXPERIMENT_HH

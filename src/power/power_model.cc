@@ -7,22 +7,6 @@
 
 namespace bighouse {
 
-LinearPowerModel::LinearPowerModel(ServerPowerSpec spec)
-    : spec_(spec)
-{
-    if (spec.idleWatts < 0 || spec.dynamicWatts < 0 || spec.sleepWatts < 0)
-        fatal("ServerPowerSpec watts must be >= 0");
-}
-
-double
-LinearPowerModel::power(double utilization) const
-{
-    if (utilization < 0.0 || utilization > 1.0 + 1e-9)
-        fatal("utilization must be in [0,1], got ", utilization);
-    return spec_.dynamicWatts * std::min(utilization, 1.0)
-           + spec_.idleWatts;
-}
-
 DvfsModel::DvfsModel(ServerPowerSpec spec, double alpha, double fMin)
     : spec_(spec), alpha(alpha), fMinimum(fMin)
 {

@@ -29,21 +29,6 @@ struct ServerPowerSpec
     double peakWatts() const { return idleWatts + dynamicWatts; }
 };
 
-/** Eq. 4: linear utilization power model. */
-class LinearPowerModel
-{
-  public:
-    explicit LinearPowerModel(ServerPowerSpec spec);
-
-    /** Power at utilization U in [0, 1]. */
-    double power(double utilization) const;
-
-    const ServerPowerSpec& spec() const { return spec_; }
-
-  private:
-    ServerPowerSpec spec_;
-};
-
 /** Eqs. 4-6 combined: DVFS-aware power and slowdown. */
 class DvfsModel
 {

@@ -85,28 +85,4 @@ Source::emit()
         target.accept(std::move(task));
 }
 
-TraceSource::TraceSource(Engine& engine, TaskAcceptor& target,
-                         std::vector<Record> trace, std::uint32_t sourceId)
-    : engine(engine),
-      target(target),
-      trace(std::move(trace)),
-      idBase(static_cast<std::uint64_t>(sourceId) << 40)
-{
-}
-
-void
-TraceSource::start()
-{
-    for (const Record& record : trace) {
-        engine.schedule(record.arrivalTime, [this, record] {
-            Task task;
-            task.id = idBase | ++emitted;
-            task.arrivalTime = engine.now();
-            task.size = record.size;
-            task.remaining = record.size;
-            target.accept(task);
-        });
-    }
-}
-
 } // namespace bighouse

@@ -10,9 +10,6 @@
 #define BIGHOUSE_QUEUEING_SOURCE_HH
 
 #include <cstdint>
-#include <span>
-#include <utility>
-#include <vector>
 
 #include "base/random.hh"
 #include "distribution/distribution.hh"
@@ -82,37 +79,6 @@ class Source
     std::uint64_t idBase;
     EventId pending{};
     bool running = false;
-};
-
-/**
- * Replays a recorded (arrivalTime, size) trace instead of sampling
- * distributions — the alternative input mode the paper discusses
- * ("it is possible to exercise the BigHouse discrete-event simulator by
- * replaying traces directly").
- */
-class TraceSource
-{
-  public:
-    struct Record
-    {
-        Time arrivalTime;
-        double size;
-    };
-
-    TraceSource(Engine& engine, TaskAcceptor& target,
-                std::vector<Record> trace, std::uint32_t sourceId = 0);
-
-    /** Schedule every trace record. */
-    void start();
-
-    std::uint64_t generated() const { return emitted; }
-
-  private:
-    Engine& engine;
-    TaskAcceptor& target;
-    std::vector<Record> trace;
-    std::uint64_t idBase;
-    std::uint64_t emitted = 0;
 };
 
 } // namespace bighouse

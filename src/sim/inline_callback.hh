@@ -33,9 +33,10 @@ class InlineCallback
 {
   public:
     /**
-     * Inline capture budget, in bytes. Sized for the simulator's largest
-     * real capture (`[this, record]` in TraceSource: 24 bytes) with one
-     * pointer of headroom — and so that an EventQueue slot (callback +
+     * Inline capture budget, in bytes. The simulator's largest real
+     * captures (`[this, coreIndex]` in Server, `[this, id]` in
+     * RetryQueue) are 16 bytes; the budget leaves two pointers of
+     * headroom and is sized so that an EventQueue slot (callback +
      * bookkeeping) packs into a single 64-byte cache line, which the
      * push/pop hot path touches once per event.
      */

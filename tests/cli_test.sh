@@ -92,6 +92,11 @@ bighouse_run)
     sed 's/"cluster"/"serverModel": "ps", "capping": {}, "cluster"/' \
         "$smoke" >mismatch.json
     must_fail "requires the FCFS server model" "$bin" mismatch.json --dry-run
+    # ...including the offered-load check: rho >= 1 has no steady state.
+    sed 's/"loadFactor": 0.7/"loadFactor": 1.0/' \
+        "$configs/google_leaf.json" >saturated.json
+    must_fail "offered load per server at full speed is 1.07 = " "$bin" \
+        saturated.json --dry-run
 
     # Strict parsing reaches nested blocks; --lax ignores the same typo.
     sed 's/"accuracy"/"warmupp": 10, "accuracy"/' "$smoke" >typo.json
@@ -131,6 +136,16 @@ bighouse_run)
         | grep -q "^resumed: " || fail "resume without the event valve"
     ;;
 bh_campaign)
+    # Expansion applies the run's cross-key checks to every point, so an
+    # invalid point fails a dry run too, and nothing is written.
+    sed -e 's/"cluster"/"capping": {}, "cluster"/' \
+        -e 's/"loadFactor": \[0.5, 0.7\]/"serverModel": ["fcfs", "ps"]/' \
+        "$campaign" >crosskey.json
+    must_fail "requires the FCFS server model" "$bin" run crosskey.json \
+        --dry-run
+    must_fail "requires the FCFS server model" "$bin" run crosskey.json
+    [ ! -e campaign-cache ] || fail "an invalid campaign wrote its cache"
+
     "$bin" run "$campaign" --report report >/dev/null \
         || fail "run --report"
     expect_files report status.json

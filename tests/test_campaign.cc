@@ -241,6 +241,33 @@ TEST(CampaignStrictKeys, TypoedCampaignKeyFails)
                 ::testing::ExitedWithCode(1), "sweeps.*sweep");
 }
 
+TEST(CampaignExpansion, CrossKeyCheckFailsBeforeWritingAnything)
+{
+    // Capping needs FCFS servers, so the "ps" point is invalid although
+    // each key parses on its own. Expansion applies the Experiment
+    // constructor's checks, so neither a run nor a dry run gets as far
+    // as a manifest or a cache entry.
+    const std::string dir = scratchDir("crosskey");
+    std::string text = campaignText(dir);
+    const std::string cluster = "\"cluster\"";
+    text.replace(text.find(cluster), cluster.size(),
+                 "\"capping\": {}, \"cluster\"");
+    const std::string axis = "\"loadFactor\": [0.5, 0.7]";
+    text.replace(text.find(axis), axis.size(),
+                 "\"serverModel\": [\"fcfs\", \"ps\"]");
+    for (const bool dryRun : {true, false}) {
+        CampaignOptions options;
+        options.dryRun = dryRun;
+        EXPECT_EXIT(
+            CampaignRunner(campaignSpecFromConfig(Config::fromString(text)),
+                           options)
+                .run(),
+            ::testing::ExitedWithCode(1),
+            "power capping requires the FCFS server model");
+        EXPECT_FALSE(std::filesystem::exists(dir));
+    }
+}
+
 TEST(CampaignRunner, RunsCachesAndServesBitIdenticalHits)
 {
     const std::string dir = scratchDir("run");

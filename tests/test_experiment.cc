@@ -393,5 +393,33 @@ TEST(ExperimentDeathTest, InvalidSpecs)
                 ::testing::ExitedWithCode(1), "workload");
 }
 
+TEST(ExperimentDeathTest, OfferedLoadOfOneOrMoreIsFatal)
+{
+    // Table-1 google offers 0.82 per 16-core server; SCPU 1.3 lifts that
+    // past 1, and the queue then grows without bound.
+    ExperimentSpec slowed = googleSpec();
+    slowed.cpuSlowdown = 1.3;
+    EXPECT_NEAR(offeredLoad(slowed), 1.07, 0.01);
+    EXPECT_EXIT(Experiment{std::move(slowed)}, ::testing::ExitedWithCode(1),
+                "offered load per server at full speed is 1.07 = "
+                "loadFactor 1 x E.S. 0.0042 s x cpuSlowdown 1.3 / "
+                ".E.gap. 0.000319 s x 16 cores.");
+
+    // rho = 1 exactly is no steady state either.
+    ExperimentSpec critical = googleSpec();
+    critical.workload.interarrival = fitMeanCv(0.01, 1.0);
+    critical.workload.service = fitMeanCv(0.01, 1.0);
+    critical.coresPerServer = 1;
+    EXPECT_EQ(offeredLoad(critical), 1.0);
+    EXPECT_EXIT(Experiment{std::move(critical)},
+                ::testing::ExitedWithCode(1), "offered load .* is 1 = ");
+
+    // Just below 1 builds.
+    ExperimentSpec stable = googleSpec();
+    stable.cpuSlowdown = 1.2;
+    EXPECT_LT(offeredLoad(stable), 1.0);
+    const Experiment built(std::move(stable));
+}
+
 } // namespace
 } // namespace bighouse

@@ -12,18 +12,15 @@
 #include <memory>
 #include <vector>
 
-#include "datacenter/fanout.hh"
 #include "datacenter/load_balancer.hh"
 #include "distribution/basic.hh"
 #include "distribution/compose.hh"
 #include "distribution/fit.hh"
 #include "policy/dreamweaver.hh"
 #include "policy/powernap.hh"
-#include "power/acpi.hh"
 #include "queueing/ps_server.hh"
 #include "queueing/server.hh"
 #include "queueing/source.hh"
-#include "queueing/tandem.hh"
 #include "sim/engine.hh"
 
 namespace bighouse {
@@ -165,50 +162,6 @@ TEST(Invariants, PowerNapConservesTasks)
     EXPECT_EQ(checked.completions, generated);
     EXPECT_EQ(server.server().outstanding(), 0u);
     EXPECT_TRUE(checked.timestampsSane);
-}
-
-TEST(Invariants, AcpiGovernorConservesTasks)
-{
-    Engine sim;
-    AcpiGovernor governor(sim, 4, AcpiLadder::typicalServer());
-    Checked checked;
-    governor.setCompletionHandler(checked.handler());
-    const std::uint64_t generated =
-        exercise(sim, governor, [](double) {}, 5);
-    EXPECT_EQ(checked.completions, generated);
-    EXPECT_EQ(governor.server().outstanding(), 0u);
-    EXPECT_TRUE(checked.timestampsSane);
-    // Energy strictly positive and bounded by active power * elapsed.
-    EXPECT_GT(governor.joules(), 0.0);
-    EXPECT_LE(governor.joules(), 300.0 * sim.now() + 1e-6);
-}
-
-TEST(Invariants, FanOutConservesRequests)
-{
-    Engine sim;
-    FanOutCluster cluster(sim, 8, 2, fitMeanCv(0.005, 1.5), Rng(6));
-    Checked checked;
-    cluster.setCompletionHandler(checked.handler());
-    const std::uint64_t generated =
-        exercise(sim, cluster, [](double) {}, 7);
-    EXPECT_EQ(checked.completions, generated);
-    EXPECT_EQ(cluster.inFlight(), 0u);
-}
-
-TEST(Invariants, TandemConservesTasks)
-{
-    Engine sim;
-    std::vector<TandemStageSpec> specs;
-    specs.push_back({2, fitMeanCv(0.004, 1.0)});
-    specs.push_back({2, fitMeanCv(0.004, 2.0)});
-    specs.push_back({1, fitMeanCv(0.002, 0.5)});
-    TandemNetwork net(sim, std::move(specs), Rng(8));
-    Checked checked;
-    net.setCompletionHandler(checked.handler());
-    const std::uint64_t generated = exercise(
-        sim, net, [&](double s) { net.stage(1).setSpeed(s); }, 9);
-    EXPECT_EQ(checked.completions, generated);
-    EXPECT_EQ(net.completedCount(), generated);
 }
 
 TEST(Invariants, SimulatedClockNeverRegresses)

@@ -217,12 +217,18 @@ TEST(ParallelFaults, SlowSlaveSampleStillMerges)
     cfg.slaves = 4;
     cfg.sqs = parallelSqs(accuracy);
     cfg.slaveBatchEvents = 10000;
-    // Stalls hit only measurement batches, so the victim calibrates
-    // promptly and then publishes one batch per stall.
-    cfg.faults.faults.push_back(
-        faultOn(0, FaultKind::Slowdown, 1, 0.05 * timeScale()));
+    // The stalls start only once the victim has run `stallAfter` events,
+    // past its calibration (20,000 events at this seed), so it publishes
+    // measurement batches at full speed before the first stall, however
+    // long BH_TEST_TIME_SCALE makes the stall. From then on it stalls
+    // before every batch, while each peer runs ~700,000 events to the
+    // converged merge.
+    const std::uint64_t stallAfter = 100000;
+    cfg.faults.faults.push_back(faultOn(0, FaultKind::Slowdown, stallAfter,
+                                        0.05 * timeScale()));
     const ParallelResult result =
         ParallelRunner(googleBuilder(accuracy), cfg).run(505);
+    ASSERT_LT(result.slaveCalibrationEvents[0], stallAfter);
 
     ASSERT_TRUE(result.converged);
     EXPECT_EQ(result.termination, TerminationReason::Converged);

@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the power models (Eqs. 4-6), the energy meter, and the
- * sleep-state controller.
+ * Tests for the power model (Eqs. 4-6) and the sleep-state controller.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "power/energy_meter.hh"
 #include "power/power_model.hh"
 #include "power/sleep_state.hh"
 #include "queueing/server.hh"
@@ -19,14 +17,14 @@ namespace {
 
 constexpr ServerPowerSpec kSpec{150.0, 150.0, 5.0};
 
-TEST(LinearPowerModel, EquationFour)
+TEST(DvfsModel, EquationFourLinearPower)
 {
-    const LinearPowerModel model(kSpec);
-    EXPECT_DOUBLE_EQ(model.power(0.0), 150.0);
-    EXPECT_DOUBLE_EQ(model.power(1.0), 300.0);
-    EXPECT_DOUBLE_EQ(model.power(0.5), 225.0);
+    const DvfsModel model(kSpec);
+    EXPECT_DOUBLE_EQ(model.uncappedPower(0.0), 150.0);
+    EXPECT_DOUBLE_EQ(model.uncappedPower(1.0), 300.0);
+    EXPECT_DOUBLE_EQ(model.uncappedPower(0.5), 225.0);
     EXPECT_DOUBLE_EQ(kSpec.peakWatts(), 300.0);
-    EXPECT_EXIT(model.power(1.5), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(model.uncappedPower(1.5), ::testing::ExitedWithCode(1),
                 "utilization");
 }
 
@@ -78,28 +76,6 @@ TEST(DvfsModel, InvalidParameters)
     const DvfsModel model(kSpec, 0.9, 0.5);
     EXPECT_EXIT(model.speedAt(0.3), ::testing::ExitedWithCode(1),
                 "outside");
-}
-
-TEST(EnergyMeter, IntegratesPiecewiseConstantPower)
-{
-    Engine sim;
-    EnergyMeter meter(sim, 100.0);
-    sim.schedule(10.0, [&] { meter.setPower(200.0); });
-    sim.schedule(15.0, [&] { meter.setPower(0.0); });
-    sim.schedule(20.0, [&] {});
-    sim.run();
-    // 100W * 10s + 200W * 5s + 0W * 5s = 2000 J.
-    EXPECT_DOUBLE_EQ(meter.joules(), 2000.0);
-    EXPECT_DOUBLE_EQ(meter.averageWatts(), 100.0);
-    EXPECT_DOUBLE_EQ(meter.watts(), 0.0);
-}
-
-TEST(EnergyMeter, ZeroElapsedTime)
-{
-    Engine sim;
-    EnergyMeter meter(sim, 50.0);
-    EXPECT_DOUBLE_EQ(meter.joules(), 0.0);
-    EXPECT_DOUBLE_EQ(meter.averageWatts(), 0.0);
 }
 
 TEST(SleepController, SleepPausesAndWakeResumes)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for arrival generators: rate fidelity, load scaling, stop/start,
- * task field population, and trace replay.
+ * Tests for the arrival generator: rate fidelity, load scaling,
+ * stop/start, and task field population.
  */
 
 #include <gtest/gtest.h>
@@ -119,23 +119,6 @@ TEST(Source, SameSeedIsDeterministic)
         EXPECT_DOUBLE_EQ(first[i].arrivalTime, second[i].arrivalTime);
         EXPECT_DOUBLE_EQ(first[i].size, second[i].size);
     }
-}
-
-TEST(TraceSource, ReplaysRecordsExactly)
-{
-    Engine sim;
-    CollectingAcceptor sink;
-    const std::vector<TraceSource::Record> trace = {
-        {0.5, 0.1}, {1.25, 0.2}, {1.25, 0.3}, {9.0, 0.4}};
-    TraceSource source(sim, sink, trace);
-    source.start();
-    sim.run();
-    ASSERT_EQ(sink.tasks.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_DOUBLE_EQ(sink.tasks[i].arrivalTime, trace[i].arrivalTime);
-        EXPECT_DOUBLE_EQ(sink.tasks[i].size, trace[i].size);
-    }
-    EXPECT_EQ(source.generated(), trace.size());
 }
 
 TEST(SourceDeathTest, InvalidParameters)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the workload layer: Table-1 fidelity (means and Cv of all
- * five shipped workloads), load scaling, empirical materialization, the
- * .dist file round trip, and trace record/replay.
+ * five shipped workloads), load scaling, empirical materialization, and
+ * the .dist file round trip.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "base/random.hh"
 #include "core/experiment.hh"
 #include "workload/library.hh"
-#include "workload/trace.hh"
 #include "workload/workload.hh"
 
 namespace bighouse {
@@ -167,53 +166,6 @@ TEST(WorkloadFiles, LoadedWorkloadDrivesAFullSimulation)
     EXPECT_LT(result.estimates[0].mean, 0.75);
     for (const std::string& path : written)
         std::remove(path.c_str());
-}
-
-TEST(Trace, FileRoundTrip)
-{
-    const std::vector<TraceSource::Record> records = {
-        {0.0, 0.5}, {1.5, 0.25}, {2.0, 1.0}};
-    const std::string path = ::testing::TempDir() + "/bh_trace_test.trace";
-    writeTrace(path, records);
-    const auto loaded = readTrace(path);
-    std::remove(path.c_str());
-    ASSERT_EQ(loaded.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_DOUBLE_EQ(loaded[i].arrivalTime, records[i].arrivalTime);
-        EXPECT_DOUBLE_EQ(loaded[i].size, records[i].size);
-    }
-}
-
-TEST(Trace, RejectsUnsortedFile)
-{
-    const std::string path = ::testing::TempDir() + "/bh_bad.trace";
-    {
-        std::FILE* f = std::fopen(path.c_str(), "w");
-        std::fputs("2.0 0.5\n1.0 0.5\n", f);
-        std::fclose(f);
-    }
-    EXPECT_EXIT(readTrace(path), ::testing::ExitedWithCode(1),
-                "not sorted");
-    std::remove(path.c_str());
-}
-
-TEST(Trace, RecordingAcceptorCaptures)
-{
-    class NullAcceptor : public TaskAcceptor
-    {
-      public:
-        void accept(Task) override {}
-    } sink;
-    RecordingAcceptor recorder(sink);
-    Task task;
-    task.id = 1;
-    task.arrivalTime = 3.5;
-    task.size = 0.75;
-    task.remaining = 0.75;
-    recorder.accept(std::move(task));
-    ASSERT_EQ(recorder.records().size(), 1u);
-    EXPECT_DOUBLE_EQ(recorder.records()[0].arrivalTime, 3.5);
-    EXPECT_DOUBLE_EQ(recorder.records()[0].size, 0.75);
 }
 
 } // namespace

@@ -258,17 +258,8 @@ main(int argc, char** argv)
                     "loadFactor %.6g\n",
                     spec.servers, spec.coresPerServer, model,
                     spec.loadFactor);
-        // Per server at full speed; with `dispatch` the one source runs
-        // at the server count times the rate, so the share is the same.
-        const double gap = spec.workload.interarrival->mean();
-        const double demand = spec.workload.service->mean();
-        std::printf("  offered load per server at full speed: %.4g = "
-                    "loadFactor %.6g x E[S] %.6g s x cpuSlowdown %.6g / "
-                    "(E[gap] %.6g s x %u cores)\n",
-                    spec.loadFactor * demand * spec.cpuSlowdown
-                        / (gap * spec.coresPerServer),
-                    spec.loadFactor, demand, spec.cpuSlowdown, gap,
-                    spec.coresPerServer);
+        std::printf("  offered load per server at full speed: %s\n",
+                    describeOfferedLoad(spec).c_str());
         const SimBackend backend = resolveSimBackend(spec);
         std::printf("  backend: %s%s\n", simBackendName(backend),
                     spec.simBackend == SimBackend::Auto ? ""
