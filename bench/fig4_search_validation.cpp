@@ -8,9 +8,9 @@
  * hardware measurements (points, unavailable here); this bench
  * regenerates the lines. The workload is the Table-1 Google model; SCPU
  * stretches service times directly, as in the [24] characterization.
- * Combinations where the slowed-down server would saturate
- * (SCPU * load >= 0.95) are skipped, as they fall outside the figure's
- * operating range.
+ * Combinations where the slowed-down server would saturate (offered
+ * load per server, offeredLoad(), >= 0.95) are skipped, as they fall
+ * outside the figure's operating range.
  */
 
 #include <cstdio>
@@ -39,17 +39,16 @@ main()
     for (const double qps : qpsPercents) {
         std::vector<std::string> row{formatG(qps, 3)};
         for (const double scpu : scpuSettings) {
-            const double effectiveLoad = scpu * qps / 100.0;
-            if (effectiveLoad >= 0.95) {
-                row.push_back("(saturated)");
-                continue;
-            }
             ExperimentSpec spec;
             spec.workload =
                 scaledToLoad(makeWorkload("google"), kCores, qps / 100.0);
             spec.coresPerServer = kCores;
             spec.cpuSlowdown = scpu;
             spec.sqs.accuracy = 0.05;
+            if (offeredLoad(spec) >= 0.95) {
+                row.push_back("(saturated)");
+                continue;
+            }
             const SqsResult result =
                 Experiment(std::move(spec))
                     .run(4000 + static_cast<std::uint64_t>(qps));

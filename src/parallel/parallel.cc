@@ -21,6 +21,7 @@ ParallelResult::toSqsResult() const
     result.termination = termination;
     result.backend = backend;
     result.events = totalEvents;
+    result.simulatedTime = simulatedTime;
     result.wallSeconds = wallSeconds;
     result.estimates = estimates;
     result.failures = failures;
@@ -554,7 +555,13 @@ ParallelRunner::execute(std::uint64_t rootSeed,
     }
 
     // --- Quorum merge: the resume prior plus every healthy slave's
-    // sample into the master's (so far empty) metrics.
+    // sample into the master's (so far empty) metrics. A slave cancelled
+    // mid-calibration has no sample of that metric yet.
+    auto absorbs = [&](std::size_t s, std::size_t i) {
+        const Phase phase = slaves[s]->stats().metric(i).phase();
+        return healthy(s) && phase != Phase::Warmup
+               && phase != Phase::Calibration;
+    };
     for (std::size_t i = 0; i < metricCount; ++i) {
         OutputMetric& masterMetric = master.stats().metric(i);
         // Weight conservation: every accepted observation of every merged
@@ -566,13 +573,9 @@ ParallelRunner::execute(std::uint64_t rootSeed,
             expected += count;
         }
         for (std::size_t s = 0; s < cfg.slaves; ++s) {
-            if (!healthy(s))
+            if (!absorbs(s, i))
                 continue;
             const OutputMetric& slaveMetric = slaves[s]->stats().metric(i);
-            // A slave cancelled mid-calibration has no sample yet.
-            if (slaveMetric.phase() == Phase::Warmup
-                || slaveMetric.phase() == Phase::Calibration)
-                continue;
             masterMetric.absorb(slaveMetric.sample(),
                                 slaveMetric.offeredCount(),
                                 slaveMetric.lag());
@@ -609,24 +612,29 @@ ParallelRunner::execute(std::uint64_t rootSeed,
 
     result.estimates = master.stats().estimates();
 
-    // Timelines of every merged slave. All slave threads have joined (or
+    // Timelines of every healthy slave, and the summed clocks of those
+    // the merge took a sample from. All slave threads have joined (or
     // drained from the pool), so the sims are quiescent; the lock only
     // satisfies the helpers' contract, like the block above.
-    if (master.timeline() != nullptr) {
+    {
         std::lock_guard<std::mutex> lock(mtx);
-        auto harvestTimeline = [](const SqsSimulation& sim,
-                                  std::string label) {
-            TimelineData data = sim.timeline()->harvest(
-                sim.stepper() != nullptr ? sim.stepper()->now()
-                                         : sim.engine().now());
-            data.source = std::move(label);
-            return data;
-        };
-        result.timelines.reserve(cfg.slaves);
+        const bool withTimelines = master.timeline() != nullptr;
         for (std::size_t s = 0; s < cfg.slaves; ++s) {
-            if (healthy(s)) {
-                result.timelines.push_back(harvestTimeline(
-                    *slaves[s], "slave-" + std::to_string(s)));
+            if (!healthy(s))
+                continue;
+            const SqsSimulation& sim = *slaves[s];
+            const Time finalClock = sim.stepper() != nullptr
+                                        ? sim.stepper()->now()
+                                        : sim.engine().now();
+            bool sampled = false;
+            for (std::size_t i = 0; i < metricCount && !sampled; ++i)
+                sampled = absorbs(s, i);
+            if (sampled)
+                result.simulatedTime += finalClock;
+            if (withTimelines) {
+                TimelineData data = sim.timeline()->harvest(finalClock);
+                data.source = "slave-" + std::to_string(s);
+                result.timelines.push_back(std::move(data));
             }
         }
     }

@@ -192,12 +192,16 @@ struct ParallelResult
     /// Per-slave total events (calibration + measurement share).
     std::vector<std::uint64_t> slaveTotalEvents;
     std::uint64_t totalEvents = 0;
+    /// Sum of the final clocks (stepper or engine) of the healthy slaves
+    /// the quorum merge took at least one metric's sample from; each
+    /// simulates its own replica, so their spans add up.
+    Time simulatedTime = 0.0;
     double wallSeconds = 0.0;
 
     /**
      * The run as a serial-shaped result (campaign cache entries, the
-     * CLI's result.json). simulatedTime is 0 because per-slave clocks do
-     * not aggregate; timelines stay per contributor in `timelines`.
+     * CLI's result.json). simulatedTime is the merged slaves' summed
+     * clocks; timelines stay per contributor in `timelines`.
      */
     SqsResult toSqsResult() const;
 };

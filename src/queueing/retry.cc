@@ -12,8 +12,7 @@ RetryQueue::RetryQueue(Engine& engine, TaskAcceptor& downstream,
                        RetrySpec spec, FailureCounters& counters,
                        TaskArena* arena)
     : engine(engine), downstream(downstream), spec(spec),
-      counters(counters),
-      inflight(FlightMap::allocator_type(arena))
+      counters(counters), flights(ArenaAlloc<Flight>(arena))
 {
     if (spec.timeout < 0.0)
         fatal("RetrySpec timeout must be >= 0, got ", spec.timeout);
@@ -53,47 +52,61 @@ void
 RetryQueue::accept(Task task)
 {
     BH_ASSERT(task.attempts == 0, "fresh task with a nonzero attempt");
-    Flight flight;
+    std::uint32_t ticket;
+    if (freeTickets.empty()) {
+        BH_REQUIRE(flights.size() < std::numeric_limits<std::uint32_t>::max(),
+                   "RetryQueue ticket space exhausted");
+        ticket = static_cast<std::uint32_t>(flights.size());
+        flights.emplace_back();
+    } else {
+        ticket = freeTickets.back();
+        freeTickets.pop_back();
+    }
+    task.retryTicket = ticket;
+    Flight& flight = flights[ticket];
     flight.original = task;
     flight.attempt = 0;
-    const std::uint64_t id = task.id;
-    auto [it, inserted] = inflight.emplace(id, std::move(flight));
-    BH_ASSERT(inserted, "duplicate task id ", id, " offered to RetryQueue");
-    (void)it;
+    flight.hasTimeout = false;
+    flight.live = true;
+    ++inFlight;
     if (occupancyProbe != nullptr)
-        occupancyProbe(probeCtx, probeId, engine.now(), inflight.size());
+        occupancyProbe(probeCtx, probeId, engine.now(), inFlight);
     offer(std::move(task));
 }
 
 void
 RetryQueue::offer(Task task)
 {
-    const std::uint64_t id = task.id;
     if (spec.timeout > 0.0) {
-        Flight& flight = inflight.at(id);
+        if (!timeoutLane.valid())
+            timeoutLane = engine.addLane(spec.timeout);
+        const std::uint32_t ticket = task.retryTicket;
+        const std::uint64_t id = task.id;
+        Flight& flight = flights[ticket];
         flight.timeout = engine.scheduleAfter(
-            spec.timeout, [this, id] { timeoutFired(id); });
+            timeoutLane, [this, ticket, id] { timeoutFired(ticket, id); });
         flight.hasTimeout = true;
     }
     // No member access after this call: a synchronous loss path (e.g.
-    // an all-down balancer) may re-enter onLost() and mutate the map.
+    // an all-down balancer) may re-enter onLost() and mutate the table.
     downstream.accept(std::move(task));
 }
 
 void
-RetryQueue::resolve(std::uint64_t id, const Task& task, bool ok)
+RetryQueue::resolve(std::uint32_t ticket, Task task, bool ok)
 {
-    auto it = inflight.find(id);
-    BH_ASSERT(it != inflight.end(), "resolve of unknown task ", id);
-    if (it->second.hasTimeout)
-        engine.cancel(it->second.timeout);
-    inflight.erase(it);
+    Flight& flight = flights[ticket];
+    if (flight.hasTimeout)
+        engine.cancel(flight.timeout);
+    flight.live = false;
+    freeTickets.push_back(ticket);
+    --inFlight;
     if (ok)
         ++counters.tasksCompletedOk;
     else
         ++counters.tasksLost;
     if (occupancyProbe != nullptr)
-        occupancyProbe(probeCtx, probeId, engine.now(), inflight.size());
+        occupancyProbe(probeCtx, probeId, engine.now(), inFlight);
     if (outcomeProbe != nullptr)
         outcomeProbe(probeCtx, engine.now(), ok);
     if (onOutcome)
@@ -104,38 +117,40 @@ void
 RetryQueue::onLost(Task task, TaskLoss loss)
 {
     (void)loss;
-    auto it = inflight.find(task.id);
-    if (it == inflight.end() || it->second.attempt != task.attempts)
+    Flight* flight = find(task.retryTicket, task.id);
+    if (flight == nullptr || flight->attempt != task.attempts)
         return;  // an abandoned attempt's copy died later; already handled
-    Flight& flight = it->second;
-    if (flight.hasTimeout) {
-        engine.cancel(flight.timeout);
-        flight.hasTimeout = false;
+    if (flight->hasTimeout) {
+        engine.cancel(flight->timeout);
+        flight->hasTimeout = false;
     }
-    if (flight.attempt >= spec.maxRetries) {
-        resolve(task.id, task, false);
+    const std::uint32_t ticket = task.retryTicket;
+    if (flight->attempt >= spec.maxRetries) {
+        resolve(ticket, std::move(task), false);
         return;
     }
-    scheduleReoffer(task.id, flight);
+    scheduleReoffer(ticket, *flight);
 }
 
 void
-RetryQueue::scheduleReoffer(std::uint64_t id, Flight& flight)
+RetryQueue::scheduleReoffer(std::uint32_t ticket, Flight& flight)
 {
     ++flight.attempt;
     ++counters.tasksRetried;
-    // Capture only the id (the event callback's inline budget is small);
-    // the re-offered copy is rebuilt from the stored original at fire
-    // time — if the task resolved while backing off, the entry is gone.
-    engine.scheduleAfter(backoffDelay(flight.attempt), [this, id] {
-        auto it = inflight.find(id);
-        if (it == inflight.end())
+    // Capture only the ticket and id (the event callback's inline budget
+    // is small); the re-offered copy is rebuilt from the stored original
+    // at fire time — if the task resolved while backing off, the record
+    // is gone.
+    const std::uint64_t id = flight.original.id;
+    engine.scheduleAfter(backoffDelay(flight.attempt), [this, ticket, id] {
+        const Flight* current = find(ticket, id);
+        if (current == nullptr)
             return;  // resolved while backing off
-        Task again = it->second.original;
+        Task again = current->original;
         again.remaining = again.size;
         again.startTime = kTimeNever;
         again.finishTime = kTimeNever;
-        again.attempts = it->second.attempt;
+        again.attempts = current->attempt;
         offer(std::move(again));
     });
 }
@@ -143,32 +158,33 @@ RetryQueue::scheduleReoffer(std::uint64_t id, Flight& flight)
 bool
 RetryQueue::onCompleted(const Task& task)
 {
-    auto it = inflight.find(task.id);
-    if (it == inflight.end() || it->second.attempt != task.attempts) {
+    const Flight* flight = find(task.retryTicket, task.id);
+    if (flight == nullptr || flight->attempt != task.attempts) {
         // Zombie work: a copy the client had already abandoned (timeout
         // fired, retry in flight) completed anyway. The server paid for
         // it; the client-visible outcome was decided elsewhere.
         ++counters.staleCompletions;
         return false;
     }
-    resolve(task.id, task, true);
+    resolve(task.retryTicket, task, true);
     return true;
 }
 
 void
-RetryQueue::timeoutFired(std::uint64_t id)
+RetryQueue::timeoutFired(std::uint32_t ticket, std::uint64_t id)
 {
-    auto it = inflight.find(id);
-    if (it == inflight.end())
+    Flight* flight = find(ticket, id);
+    if (flight == nullptr)
         return;  // resolved in the same instant
-    Flight& flight = it->second;
-    flight.hasTimeout = false;
+    flight->hasTimeout = false;
     ++counters.tasksTimedOut;
-    if (flight.attempt >= spec.maxRetries) {
-        resolve(id, flight.original, false);
+    if (flight->attempt >= spec.maxRetries) {
+        // resolve() takes its own copy: the record is released before
+        // the outcome handler sees the task.
+        resolve(ticket, flight->original, false);
         return;
     }
-    scheduleReoffer(id, flight);
+    scheduleReoffer(ticket, *flight);
 }
 
 } // namespace bighouse

@@ -17,7 +17,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "queueing/failure.hh"
 #include "queueing/server.hh"
@@ -49,8 +49,14 @@ struct RetrySpec
  *
  * Ownership protocol: callers wire the downstream's lost handler to
  * onLost() and its completion handler to onCompleted(). Both look the
- * task up by id; completions of abandoned (timed-out, already-resolved)
- * attempts are recognized as stale and ignored for goodput.
+ * task up by the ticket accept() wrote into it (Task::retryTicket), an
+ * index into a table of in-flight records, and check the record's task
+ * id; completions of abandoned (timed-out, already-resolved) attempts
+ * are recognized as stale and ignored for goodput.
+ *
+ * Every attempt's timeout fires the same fixed delay after it is
+ * scheduled, so the timeouts share one of the engine's constant-delay
+ * lanes, opened on first use.
  */
 class RetryQueue : public TaskAcceptor
 {
@@ -64,7 +70,7 @@ class RetryQueue : public TaskAcceptor
      * @param spec timeout/backoff policy
      * @param counters shared failure ledger (outlives the queue)
      * @param arena optional per-simulation pool backing the in-flight
-     *        map's storage; null means the global heap
+     *        table's storage; null means the global heap
      */
     RetryQueue(Engine& engine, TaskAcceptor& downstream, RetrySpec spec,
                FailureCounters& counters, TaskArena* arena = nullptr);
@@ -91,7 +97,7 @@ class RetryQueue : public TaskAcceptor
     void setOutcomeHandler(OutcomeHandler handler);
 
     /** Tasks currently in flight (offered, not yet resolved). */
-    std::size_t outstanding() const { return inflight.size(); }
+    std::size_t outstanding() const { return inFlight; }
 
     /// Timeline probes (read-only observers; plain function pointers so
     /// the unset case costs one predictable branch per transition).
@@ -121,23 +127,36 @@ class RetryQueue : public TaskAcceptor
     Time backoffDelay(std::uint32_t attempt) const;
 
   private:
+    /** One task in flight; its index is the task's ticket. */
     struct Flight
     {
         Task original;               ///< pristine copy for re-offers
+        EventId timeout{};
         std::uint32_t attempt = 0;   ///< attempt the client still waits on
         bool hasTimeout = false;
-        EventId timeout{};
+        bool live = false;           ///< false once resolved (slot free)
     };
+
+    /** The in-flight record of ticket/id, or null once resolved. */
+    Flight*
+    find(std::uint32_t ticket, std::uint64_t id)
+    {
+        if (ticket >= flights.size())
+            return nullptr;
+        Flight& flight = flights[ticket];
+        return flight.live && flight.original.id == id ? &flight : nullptr;
+    }
 
     /** Deliver (or re-deliver) an attempt downstream. */
     void offer(Task task);
 
     /** Bump the attempt and schedule the backed-off re-offer. */
-    void scheduleReoffer(std::uint64_t id, Flight& flight);
+    void scheduleReoffer(std::uint32_t ticket, Flight& flight);
 
-    void resolve(std::uint64_t id, const Task& task, bool ok);
+    /** Release the flight, then report `task` (a copy, not the record). */
+    void resolve(std::uint32_t ticket, Task task, bool ok);
 
-    void timeoutFired(std::uint64_t id);
+    void timeoutFired(std::uint32_t ticket, std::uint64_t id);
 
     Engine& engine;
     TaskAcceptor& downstream;
@@ -152,11 +171,10 @@ class RetryQueue : public TaskAcceptor
     OutcomeProbe outcomeProbe = nullptr;
     void* probeCtx = nullptr;
     std::size_t probeId = 0;
-    using FlightMap =
-        std::unordered_map<std::uint64_t, Flight, std::hash<std::uint64_t>,
-                           std::equal_to<std::uint64_t>,
-                           ArenaAlloc<std::pair<const std::uint64_t, Flight>>>;
-    FlightMap inflight;
+    std::vector<Flight, ArenaAlloc<Flight>> flights;
+    std::vector<std::uint32_t> freeTickets;
+    std::size_t inFlight = 0;
+    EventLane timeoutLane;
 };
 
 } // namespace bighouse

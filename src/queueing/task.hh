@@ -31,6 +31,11 @@ struct Task
     /// Delivery attempt, counted from 0; bumped by the retry path each
     /// time the task is re-offered after a loss or timeout.
     std::uint32_t attempts = 0;
+    /// Index of the task's in-flight record in the RetryQueue that
+    /// accepted it (it fills what would be padding). The queue checks
+    /// the record's task id on every lookup, so a stale ticket is never
+    /// mistaken for another task.
+    std::uint32_t retryTicket = 0;
 
     /** Sojourn (response) time; only valid after completion. */
     Time responseTime() const { return finishTime - arrivalTime; }
@@ -38,6 +43,8 @@ struct Task
     /** Delay before service first began; only valid after dispatch. */
     Time waitingTime() const { return startTime - arrivalTime; }
 };
+
+static_assert(sizeof(Task) == 56, "Task grew past its 56 bytes");
 
 /** Anything that can receive tasks (servers, queues, load balancers). */
 class TaskAcceptor

@@ -1,7 +1,7 @@
 /**
  * @file
  * TaskArena: a per-simulation pool for the containers that hold queued
- * Task state (a Server's wait queue, a RetryQueue's in-flight map).
+ * Task state (a Server's wait queue, a RetryQueue's flight table).
  *
  * Tasks themselves are plain 56-byte values, but the containers that
  * buffer them allocate nodes and block maps from the global heap — and in

@@ -21,6 +21,32 @@
 
 namespace bighouse {
 
+/**
+ * Handle to a constant-delay event lane (Engine::addLane()). Events
+ * scheduled through it fire the lane's delay after they are scheduled;
+ * the queue keeps them in FIFO order and puts only the earliest in its
+ * heap. Default-constructed handles are invalid.
+ */
+class EventLane
+{
+  public:
+    EventLane() = default;
+
+    bool valid() const { return index != kNone; }
+
+  private:
+    friend class Engine;
+
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    EventLane(Time delay, std::uint32_t index)
+        : fixedDelay(delay), index(index)
+    {}
+
+    Time fixedDelay = 0.0;
+    std::uint32_t index = kNone;
+};
+
 /** Discrete-event simulation kernel. */
 class Engine
 {
@@ -63,6 +89,24 @@ class Engine
     scheduleAfter(Time delay, Fn&& fn)
     {
         return schedule(currentTime + delay, std::forward<Fn>(fn));
+    }
+
+    /**
+     * Open a lane for events that fire `delay` seconds after they are
+     * scheduled. The pop order is exactly that of scheduleAfter(delay);
+     * only the queue's cost changes.
+     */
+    EventLane addLane(Time delay);
+
+    /** Schedule any callable the lane's delay from now. */
+    template <typename Fn,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::remove_cvref_t<Fn>, EventCallback>>>
+    EventId
+    scheduleAfter(EventLane lane, Fn&& fn)
+    {
+        return events.pushLane(lane.index, currentTime + lane.fixedDelay,
+                               std::forward<Fn>(fn));
     }
 
     /**

@@ -14,6 +14,24 @@ EventQueue::checkedSlotIndex(std::size_t slotCount)
     return static_cast<std::uint32_t>(slotCount);
 }
 
+std::uint32_t
+EventQueue::addLane()
+{
+    BH_REQUIRE(lanes.size() < kNoLane, "event queue lane table exhausted");
+    lanes.emplace_back();
+    return static_cast<std::uint32_t>(lanes.size() - 1);
+}
+
+void
+EventQueue::Lane::grow()
+{
+    std::vector<Entry> bigger(ring.empty() ? 8 : 2 * ring.size());
+    for (std::size_t i = 0; i < count; ++i)
+        bigger[i] = at(i);
+    ring = std::move(bigger);
+    head = 0;
+}
+
 std::uint64_t
 EventQueue::nextSeq() const
 {
@@ -35,7 +53,18 @@ EventQueue::cancel(EventId id)
     s.callback.reset();
     freeSlot(id.slot);
     --liveCount;
-    ++deadCount;
+    if (s.lane == kNoLane) {
+        ++deadCount;
+    } else if (Lane& lane = lanes[s.lane]; seqOf(lane.front()) == id.seq) {
+        // The lane's front: its heap copy becomes a tombstone, and the
+        // next live entry takes its place in the heap. An entry further
+        // back is never in the heap; skipDeadFront() drops it later.
+        ++deadCount;
+        lane.popFront();
+        skipDeadFront(lane);
+        if (!lane.empty())
+            heapInsert(lane.front());
+    }
     // Restore the top-live invariant, then sweep wholesale once the
     // tombstones outnumber the live entries.
     pruneTop();
@@ -51,6 +80,33 @@ EventQueue::ordered() const
     for (std::size_t i = 1; i < heap.size(); ++i) {
         if (less(heap[i], heap[(i - 1) / 4]))
             return false;
+    }
+    if (lanes.empty())
+        return true;
+    // Lane invariants: every live heap entry of a lane is that lane's
+    // front, each non-empty lane's front is live and in the heap exactly
+    // once, and each lane is sorted by (time, seq).
+    std::vector<std::size_t> inHeap(lanes.size(), 0);
+    for (const Entry& entry : heap) {
+        if (!isLive(entry))
+            continue;
+        const std::uint32_t lane = slots[slotOf(entry)].lane;
+        if (lane == kNoLane)
+            continue;
+        if (lanes[lane].empty() || lanes[lane].front().tag != entry.tag)
+            return false;
+        ++inHeap[lane];
+    }
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+        const Lane& lane = lanes[l];
+        if (inHeap[l] != (lane.empty() ? 0u : 1u))
+            return false;
+        if (!lane.empty() && !isLive(lane.front()))
+            return false;
+        for (std::size_t i = 1; i < lane.count; ++i) {
+            if (!less(lane.at(i - 1), lane.at(i)))
+                return false;
+        }
     }
     return true;
 }

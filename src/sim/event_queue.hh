@@ -36,6 +36,23 @@
  * outnumber live ones the heap is compacted wholesale, bounding memory
  * under cancel-heavy policies. The heap top is always live, so
  * nextTime() is a const O(1) query.
+ *
+ * Constant-delay lanes. Events that fire a fixed delay after they are
+ * scheduled (a client's attempt timeouts, for one) arrive already sorted:
+ * the clock never runs backwards, so each push's time is >= the last
+ * one's, and its seq is larger. Such events go on a lane (addLane(),
+ * pushLane()): a FIFO ring of the same 16-byte entries, seq reserved
+ * at push like any other event. Only a lane's front sits in the heap;
+ * popping it refills the root with the lane's next entry, so a lane of
+ * thousands of pending timeouts costs the heap one entry. The invariants
+ * (checked by the BIGHOUSE_AUDIT build) are: each lane is sorted by
+ * (time, seq); a non-empty lane's front is live and in the heap exactly
+ * once; no other lane entry is in the heap. Cancelling a lane's front
+ * tombstones its heap copy and inserts the next live entry; cancelling
+ * any other lane entry only clears its slot, and the entry is skipped
+ * when it reaches the front. The heap therefore always holds the minimum
+ * of every live event, and events pop in exactly the (time, seq) order
+ * they would without lanes.
  */
 
 #ifndef BIGHOUSE_SIM_EVENT_QUEUE_HH
@@ -99,6 +116,29 @@ class EventQueue
         return id;
     }
 
+    /**
+     * Open a constant-delay lane (see the file comment); returns its
+     * index for pushLane(). The ring allocates on the first push.
+     */
+    std::uint32_t addLane();
+
+    /**
+     * Insert an event at the back of lane `lane`, constructing the
+     * callable in the slot's storage like push().
+     * @pre `time` >= the time of the lane's last pending entry — which
+     *      holds for now + a fixed delay, the one use lanes are for
+     */
+    template <typename Fn,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::remove_cvref_t<Fn>, EventCallback>>>
+    EventId
+    pushLane(std::uint32_t lane, Time time, Fn&& fn)
+    {
+        const EventId id = allocLaneEntry(lane, time);
+        slots[id.slot].callback.emplace(std::forward<Fn>(fn));
+        return id;
+    }
+
     /** Earliest pending (non-cancelled) event time; kTimeNever if empty. */
     Time
     nextTime() const
@@ -133,8 +173,14 @@ class EventQueue
     /** True when no live events remain. */
     bool empty() const { return liveCount == 0; }
 
-    /** Physical heap entries, live + tombstoned (memory tests). */
+    /**
+     * Physical heap entries: plain events, lane fronts and tombstones
+     * (memory tests). Lane entries behind a front are not counted.
+     */
     std::size_t heapSize() const { return heap.size(); }
+
+    /** Lanes opened so far. */
+    std::size_t laneCount() const { return lanes.size(); }
 
     /** Tombstoned entries still physically in the heap. */
     std::size_t deadEntries() const { return deadCount; }
@@ -170,6 +216,8 @@ class EventQueue
   private:
     /// Free-list terminator / invalid-EventId sentinel slot index.
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    /// Slot::lane of an event that lives in the heap alone.
+    static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
 
     /// Low tag bits holding the slot index; the sequence sits above.
     static constexpr unsigned kSlotBits = 24;
@@ -200,6 +248,8 @@ class EventQueue
         /// heap entry whose seq differs is a tombstone of a prior tenant.
         std::uint64_t seq = 0;
         std::uint32_t nextFree = ~std::uint32_t{0};
+        /// Lane of the current tenant, or kNoLane for a heap-only event.
+        std::uint32_t lane = kNoLane;
         /// False once cancelled or popped (tombstones the entry).
         bool live = false;
     };
@@ -247,8 +297,56 @@ class EventQueue
         return s.live && s.seq == seqOf(entry);
     }
 
+    /**
+     * One constant-delay lane: a power-of-two ring of entries in
+     * (time, seq) order, its front live and in the heap when non-empty.
+     */
+    struct Lane
+    {
+        std::vector<Entry> ring;
+        std::size_t head = 0;
+        std::size_t count = 0;
+
+        bool empty() const { return count == 0; }
+        const Entry& front() const { return ring[head]; }
+        const Entry& at(std::size_t i) const
+        {
+            return ring[(head + i) & (ring.size() - 1)];
+        }
+        void popFront()
+        {
+            head = (head + 1) & (ring.size() - 1);
+            --count;
+        }
+        void pushBack(const Entry& entry)
+        {
+            if (count == ring.size())
+                grow();
+            ring[(head + count) & (ring.size() - 1)] = entry;
+            ++count;
+        }
+        /** Double the ring (8 entries at first), front moved to 0. */
+        void grow();
+    };
+
+    static EventId
+    idOf(const Entry& entry)
+    {
+        return EventId{seqOf(entry), slotOf(entry)};
+    }
+
+    /** Claim a seq and a slot for an event at `time` in `lane`. */
+    Entry claim(Time time, std::uint32_t lane);
+
     /** Shared push bookkeeping: everything except the callback. */
     EventId allocEntry(Time time);
+    EventId allocLaneEntry(std::uint32_t lane, Time time);
+
+    void heapInsert(const Entry& entry);
+    /** Replace the heap top with `entry` and restore the heap order. */
+    void replaceTop(const Entry& entry);
+    /** Drop cancelled entries off the lane's front. */
+    void skipDeadFront(Lane& lane);
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t index);
@@ -272,6 +370,7 @@ class EventQueue
 
     std::vector<Entry> heap;
     std::vector<Slot> slots;
+    std::vector<Lane> lanes;
     std::uint32_t freeHead = ~std::uint32_t{0};
     /// Time of the most recently popped event (monotonicity contract).
     Time lastPopped = 0.0;
@@ -311,21 +410,49 @@ EventQueue::freeSlot(std::uint32_t index)
     freeHead = index;
 }
 
-inline EventId
-EventQueue::allocEntry(Time time)
+inline EventQueue::Entry
+EventQueue::claim(Time time, std::uint32_t lane)
 {
     BH_REQUIRE(time >= 0.0, "event scheduled at negative time");
     const std::uint64_t seq = checkedSeq(seqCounter++);
     const std::uint32_t slot = allocSlot();
     Slot& s = slots[slot];
     s.seq = seq;
+    s.lane = lane;
     s.live = true;
     ++liveCount;
-    const Entry entry{keyOf(time), seq << kSlotBits | slot};
+    return Entry{keyOf(time), seq << kSlotBits | slot};
+}
+
+inline void
+EventQueue::heapInsert(const Entry& entry)
+{
     heap.push_back(entry);
     siftUp(heap.size() - 1, entry, 0);
+}
+
+inline EventId
+EventQueue::allocEntry(Time time)
+{
+    const Entry entry = claim(time, kNoLane);
+    heapInsert(entry);
     BH_AUDIT(ordered(), "heap order broken after push of t=", time);
-    return EventId{seq, slot};
+    return idOf(entry);
+}
+
+inline EventId
+EventQueue::allocLaneEntry(std::uint32_t lane, Time time)
+{
+    BH_REQUIRE(lane < lanes.size(), "push to unknown lane ", lane);
+    Lane& l = lanes[lane];
+    const Entry entry = claim(time, lane);
+    BH_REQUIRE(l.empty() || l.at(l.count - 1).key <= entry.key,
+               "lane ", lane, " pushed out of time order at t=", time);
+    l.pushBack(entry);
+    if (l.count == 1)
+        heapInsert(entry);
+    BH_AUDIT(ordered(), "heap order broken after lane push of t=", time);
+    return idOf(entry);
 }
 
 inline EventId
@@ -343,12 +470,23 @@ EventQueue::pop()
     // physically empty and vice versa.
     BH_REQUIRE(liveCount > 0, "pop() on an empty event queue");
     const Entry top = heap.front();
-    removeTop();
+    const std::uint32_t slot = slotOf(top);
+    Slot& s = slots[slot];
+    if (s.lane == kNoLane) {
+        removeTop();
+    } else {
+        // The top is its lane's front: its successor takes the root.
+        Lane& lane = lanes[s.lane];
+        lane.popFront();
+        skipDeadFront(lane);
+        if (lane.empty())
+            removeTop();
+        else
+            replaceTop(lane.front());
+    }
     pruneTop();
     BH_AUDIT(ordered(), "heap order broken after pop");
     const Time time = std::bit_cast<Time>(top.key);
-    const std::uint32_t slot = slotOf(top);
-    Slot& s = slots[slot];
     Popped out{time, seqOf(top), std::move(s.callback)};
     // A moved-from InlineCallback is valid-but-unspecified: it may still
     // own its captures. Destroy explicitly so the queue provably drops
@@ -419,6 +557,19 @@ EventQueue::removeTop()
     heap.pop_back();
     if (!heap.empty())
         siftUp(holeToLeaf(0), last, 0);
+}
+
+inline void
+EventQueue::replaceTop(const Entry& entry)
+{
+    siftUp(holeToLeaf(0), entry, 0);
+}
+
+inline void
+EventQueue::skipDeadFront(Lane& lane)
+{
+    while (!lane.empty() && !isLive(lane.front()))
+        lane.popFront();
 }
 
 inline void

@@ -34,11 +34,11 @@ class InlineCallback
   public:
     /**
      * Inline capture budget, in bytes. The simulator's largest real
-     * captures (`[this, coreIndex]` in Server, `[this, id]` in
-     * RetryQueue) are 16 bytes; the budget leaves two pointers of
-     * headroom and is sized so that an EventQueue slot (callback +
-     * bookkeeping) packs into a single 64-byte cache line, which the
-     * push/pop hot path touches once per event.
+     * capture (`[this, ticket, id]` in RetryQueue) is 24 bytes; the
+     * budget leaves a pointer of headroom and is sized so that an
+     * EventQueue slot (callback + bookkeeping) packs into a single
+     * 64-byte cache line, which the push/pop hot path touches once per
+     * event.
      */
     static constexpr std::size_t kCapacity = 32;
 

@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for the DES engine: clock advance, stop semantics, horizons,
- * cancellation from inside callbacks, and self-scheduling processes.
+ * cancellation from inside callbacks, self-scheduling processes, and
+ * constant-delay lanes.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
+#include "base/random.hh"
 #include "sim/engine.hh"
 
 namespace bighouse {
@@ -111,6 +115,62 @@ TEST(Engine, EventsScheduledDuringRunExecute)
     });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+/**
+ * A timer-heavy process: every step arms a fixed-delay timer (0, 0.25 or
+ * 0.5 s, all tying with the steps' own quarter-second grid), cancels a
+ * random earlier one now and then, and schedules the next step. With
+ * `useLanes` the timers go through lanes. Returns the dispatch trace.
+ */
+std::vector<std::pair<Time, std::uint64_t>>
+timerTrace(bool useLanes)
+{
+    Engine sim;
+    Rng rng(7);
+    const std::vector<Time> delays = {0.5, 0.25, 0.0};
+    std::vector<EventLane> lanes;
+    if (useLanes) {
+        for (const Time delay : delays)
+            lanes.push_back(sim.addLane(delay));
+    }
+    std::vector<EventId> timers;
+    std::vector<std::pair<Time, std::uint64_t>> trace;
+    sim.setTraceHook(
+        [](void* ctx, Time time, std::uint64_t seq) {
+            static_cast<std::vector<std::pair<Time, std::uint64_t>>*>(ctx)
+                ->emplace_back(time, seq);
+        },
+        &trace);
+    std::function<void()> step = [&] {
+        const std::size_t l = rng.below(delays.size());
+        timers.push_back(useLanes ? sim.scheduleAfter(lanes[l], [] {})
+                                  : sim.scheduleAfter(delays[l], [] {}));
+        if (rng.below(4) == 0)
+            sim.cancel(timers[rng.below(timers.size())]);
+        if (timers.size() < 20000) {
+            sim.scheduleAfter(0.25 * static_cast<double>(rng.below(3)),
+                              [&step] { step(); });
+        }
+    };
+    sim.schedule(0.0, [&step] { step(); });
+    sim.run();
+    return trace;
+}
+
+TEST(Engine, LaneEventsFireInScheduleAfterOrder)
+{
+    const auto plain = timerTrace(false);
+    const auto laned = timerTrace(true);
+    ASSERT_GT(plain.size(), 20000u);
+    EXPECT_EQ(plain, laned);
+    EXPECT_FALSE(EventLane{}.valid());
+}
+
+TEST(EngineDeathTest, NegativeLaneDelayPanics)
+{
+    Engine sim;
+    EXPECT_DEATH(sim.addLane(-1.0), "lane delay");
 }
 
 TEST(EngineDeathTest, SchedulingIntoThePastPanics)

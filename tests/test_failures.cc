@@ -433,8 +433,11 @@ TEST(RetryQueueTest, TimeoutAbandonsAttemptAndStaleCompletionIsIgnored)
     FailureCounters counters;
     RetryQueue retry(sim, hole, spec, counters);
     std::vector<bool> outcomes;
-    retry.setOutcomeHandler(
-        [&](const Task&, bool ok) { outcomes.push_back(ok); });
+    std::vector<std::uint64_t> outcomeIds;
+    retry.setOutcomeHandler([&](const Task& task, bool ok) {
+        outcomes.push_back(ok);
+        outcomeIds.push_back(task.id);
+    });
     sim.schedule(0.0, [&] { retry.accept(makeTask(7, 0.0, 1.0)); });
     sim.run();
     // Attempt 0 times out at 0.05, the retry is offered at 0.06 and
@@ -444,6 +447,10 @@ TEST(RetryQueueTest, TimeoutAbandonsAttemptAndStaleCompletionIsIgnored)
     EXPECT_EQ(counters.tasksLost, 1u);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_FALSE(outcomes[0]);
+    // The handler reads the task after its in-flight record is released:
+    // it must be handed a copy, not the freed record.
+    ASSERT_EQ(outcomeIds.size(), 1u);
+    EXPECT_EQ(outcomeIds[0], 7u);
     // The swallowed copies later "complete": both are zombie work the
     // client already gave up on, so neither counts for goodput.
     ASSERT_EQ(hole.swallowed.size(), 2u);
@@ -451,6 +458,33 @@ TEST(RetryQueueTest, TimeoutAbandonsAttemptAndStaleCompletionIsIgnored)
     EXPECT_FALSE(retry.onCompleted(hole.swallowed[1]));
     EXPECT_EQ(counters.staleCompletions, 2u);
     EXPECT_EQ(counters.tasksCompletedOk, 0u);
+}
+
+TEST(RetryQueueTest, PendingTimeoutsShareOneHeapEntry)
+{
+    Engine sim;
+    BlackHoleAcceptor hole;
+    RetrySpec spec;
+    spec.timeout = 1.0;
+    FailureCounters counters;
+    RetryQueue retry(sim, hole, spec, counters);
+    // Opened on first use, not at construction.
+    EXPECT_EQ(sim.eventQueue().laneCount(), 0u);
+    sim.schedule(0.0, [&] {
+        for (std::uint64_t id = 0; id < 1000; ++id)
+            retry.accept(makeTask(id, 0.0, 1.0));
+    });
+    sim.runUntil(0.5);
+    const EventQueue& queue = sim.eventQueue();
+    EXPECT_EQ(retry.outstanding(), 1000u);
+    EXPECT_EQ(queue.size(), 1000u);
+    EXPECT_EQ(queue.laneCount(), 1u);
+    EXPECT_LE(queue.heapSize(), queue.laneCount());
+    // The timeouts still fire one by one, each abandoning its attempt.
+    sim.run();
+    EXPECT_EQ(counters.tasksTimedOut, 1000u);
+    EXPECT_EQ(counters.tasksLost, 1000u);
+    EXPECT_EQ(retry.outstanding(), 0u);
 }
 
 TEST(RetryQueueTest, FreshCompletionResolvesOk)

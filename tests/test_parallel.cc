@@ -148,6 +148,9 @@ TEST(Parallel, ResultReportsTheBackendThatRan)
     EXPECT_EQ(serialShaped.backend, SimBackend::Recurrence);
     EXPECT_EQ(serialShaped.events, result.totalEvents);
     EXPECT_EQ(serialShaped.converged, result.converged);
+    // The merged slaves' clocks, summed (result.json's simulatedTime).
+    EXPECT_GT(result.simulatedTime, 0.0);
+    EXPECT_EQ(serialShaped.simulatedTime, result.simulatedTime);
 }
 
 TEST(Parallel, MoreSlavesMeansFewerSamplesEach)

@@ -12,7 +12,8 @@
  *     match element for element. The reference implements the documented
  *     semantics — min (time, seq), FIFO ties, cancel removes — with none
  *     of the production data structures, so any divergence is a real
- *     semantic change, not a shared bug.
+ *     semantic change, not a shared bug. A second workload mixes in
+ *     constant-delay lanes, which the reference sees as plain pushes.
  *
  *  2. A full fig2_phases-style run (M/G/1, autocorrelated response-time
  *     metric, convergence-terminated) executed twice under the same
@@ -23,8 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -64,6 +67,12 @@ class ReferenceQueue
         return entries.erase({time, seq}) > 0;
     }
 
+    bool
+    contains(Time time, std::uint64_t seq) const
+    {
+        return entries.count({time, seq}) > 0;
+    }
+
     TimeSeq
     pop()
     {
@@ -85,18 +94,36 @@ class ReferenceQueue
 class Lockstep
 {
   public:
-    void
+    /** Push a plain event; returns its id. */
+    EventId
     push(Time at)
     {
         const EventId id = queue.push(at, [] {});
-        const std::uint64_t seq = reference.push(at);
-        EXPECT_EQ(id.seq, seq);
-        pending.push_back({id, at, seq});
-        EXPECT_EQ(queue.size(), reference.size());
+        record(id, at);
+        return id;
+    }
+
+    /** Open a queue lane; its pushes must come in time order. */
+    std::uint32_t
+    addLane()
+    {
+        const std::uint32_t lane = queue.addLane();
+        lanePending.resize(lane + 1);
+        return lane;
+    }
+
+    /** Push onto `lane`; the reference sees a plain push. */
+    EventId
+    pushLane(std::uint32_t lane, Time at)
+    {
+        const EventId id = queue.pushLane(lane, at, [] {});
+        record(id, at);
+        lanePending[lane].push_back(pending.back());
+        return id;
     }
 
     /** Cancel pending[pick] (it may have fired already) and forget it. */
-    void
+    EventId
     cancel(std::size_t pick)
     {
         const Pending victim = pending[pick];
@@ -104,6 +131,51 @@ class Lockstep
         EXPECT_EQ(queue.cancel(victim.id),
                   reference.cancel(victim.time, victim.seq));
         EXPECT_EQ(queue.size(), reference.size());
+        return victim.id;
+    }
+
+    /**
+     * Cancel the `rank`-th still-pending entry of `lane` in (time, seq)
+     * order; rank 0 is the lane's front, which sits in the heap. Returns
+     * its id, or nothing when the lane holds fewer entries.
+     */
+    std::optional<EventId>
+    cancelLaneEntry(std::uint32_t lane, std::size_t rank)
+    {
+        std::deque<Pending>& fifo = prunedLane(lane);
+        for (auto it = fifo.begin(); it != fifo.end(); ++it) {
+            if (!reference.contains(it->time, it->seq) || rank-- > 0)
+                continue;
+            const Pending victim = *it;
+            fifo.erase(it);
+            EXPECT_TRUE(queue.cancel(victim.id));
+            EXPECT_TRUE(reference.cancel(victim.time, victim.seq));
+            EXPECT_EQ(queue.size(), reference.size());
+            return victim.id;
+        }
+        return std::nullopt;
+    }
+
+    /**
+     * The heap holds the plain events, one entry per non-empty lane and
+     * the tombstones, and nothing else: a lane's entries behind its
+     * front stay out of it.
+     */
+    void
+    expectHeapHoldsPlainEventsAndLaneFronts()
+    {
+        std::size_t laneLive = 0;
+        std::size_t fronts = 0;
+        for (std::uint32_t lane = 0; lane < lanePending.size(); ++lane) {
+            std::size_t live = 0;
+            for (const Pending& p : prunedLane(lane))
+                live += reference.contains(p.time, p.seq) ? 1 : 0;
+            laneLive += live;
+            fronts += live > 0 ? 1 : 0;
+        }
+        EXPECT_EQ(queue.heapSize(), queue.deadEntries()
+                                        + (reference.size() - laneLive)
+                                        + fronts);
     }
 
     /** Pop from both; returns the popped time. */
@@ -146,8 +218,30 @@ class Lockstep
         std::uint64_t seq;
     };
 
+    void
+    record(EventId id, Time at)
+    {
+        const std::uint64_t seq = reference.push(at);
+        EXPECT_EQ(id.seq, seq);
+        pending.push_back({id, at, seq});
+        EXPECT_EQ(queue.size(), reference.size());
+    }
+
+    /** The lane's pending list with fired or cancelled fronts dropped. */
+    std::deque<Pending>&
+    prunedLane(std::uint32_t lane)
+    {
+        std::deque<Pending>& fifo = lanePending[lane];
+        while (!fifo.empty()
+               && !reference.contains(fifo.front().time, fifo.front().seq))
+            fifo.pop_front();
+        return fifo;
+    }
+
     ReferenceQueue reference;
     std::vector<Pending> pending;
+    /// Per lane, its entries in push order (fired ones dropped lazily).
+    std::vector<std::deque<Pending>> lanePending;
     std::vector<TimeSeq> queueTrace;
     std::vector<TimeSeq> referenceTrace;
 };
@@ -205,6 +299,64 @@ TEST(TraceReproducibility, QueueMatchesReferenceUnderRandomWorkload)
         else
             clock = run.pop();
     }
+    run.drain();
+    run.expectSameTraces();
+}
+
+TEST(TraceReproducibility, LanesMatchReferenceUnderRandomWorkload)
+{
+    Lockstep run;
+    Rng rng(31415);
+    // Whole-second delays, so lane times tie with each other and with
+    // the coarse plain times; delay 0 ties with the clock itself.
+    const std::vector<Time> delays = {0.0, 2.0, 5.0, 3.0};
+    std::vector<std::uint32_t> lanes;
+    for (std::size_t i = 0; i < delays.size(); ++i)
+        lanes.push_back(run.addLane());
+    EXPECT_EQ(run.queue.laneCount(), delays.size());
+    Time clock = 1.0;
+    const auto coarse = [&rng, &clock] {
+        return clock + static_cast<double>(rng.below(8));
+    };
+    const auto pushLane = [&](std::size_t l) {
+        return run.pushLane(lanes[l], clock + delays[l]);
+    };
+
+    std::size_t headCancels = 0;
+    std::size_t reusedCancels = 0;
+    for (int step = 0; step < 30000; ++step) {
+        const double roll = rng.uniform01();
+        const std::size_t l = rng.below(delays.size());
+        if (roll < 0.25 || run.queue.empty()) {
+            run.push(coarse());
+        } else if (roll < 0.55) {
+            pushLane(l);
+        } else if (roll < 0.6) {
+            // The lane's front: in the heap, maybe at its top.
+            headCancels += run.cancelLaneEntry(lanes[l], 0) ? 1 : 0;
+        } else if (roll < 0.65) {
+            // An entry behind the front. The next push takes its slot,
+            // so when the dead entry reaches the front it must be told
+            // apart from the slot's new tenant by its seq.
+            if (const auto victim =
+                    run.cancelLaneEntry(lanes[l], 1 + rng.below(3))) {
+                const EventId reuse = rng.below(2) == 0
+                                          ? run.push(coarse())
+                                          : pushLane(rng.below(delays.size()));
+                EXPECT_EQ(reuse.slot, victim->slot);
+                ++reusedCancels;
+            }
+        } else if (roll < 0.72 && run.pendingCount() > 0) {
+            run.cancel(rng.below(run.pendingCount()));
+        } else {
+            clock = run.pop();
+        }
+        if (step % 1000 == 0)
+            run.expectHeapHoldsPlainEventsAndLaneFronts();
+    }
+    EXPECT_GT(headCancels, 500u);
+    EXPECT_GT(reusedCancels, 500u);
+    run.expectHeapHoldsPlainEventsAndLaneFronts();
     run.drain();
     run.expectSameTraces();
 }
